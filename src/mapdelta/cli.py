@@ -17,6 +17,7 @@ from .errors import (
     MapValidationError,
     ReconstructionError,
 )
+from .families import set_text
 from .fixtures import FIXTURE_BUILDERS, fixture_names, get_fixture
 from .random_maps import random_corpus
 from .rebuild import build_map, recover_rotations
@@ -95,8 +96,7 @@ def cmd_check_delta(args):
         print("symmetric exchange holds (%d sets)" % len(family))
         return EXIT_OK
     f1, f2, x = witness
-    print("symmetric exchange fails: F1={%s} F2={%s} x=%s"
-          % (",".join(map(str, sorted(f1))), ",".join(map(str, sorted(f2))), x))
+    print("symmetric exchange fails: F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x))
     return EXIT_VIOLATION
 
 
@@ -130,6 +130,10 @@ def cmd_examples(args):
         return EXIT_OK
     if args.name is None:
         print("examples show requires a fixture name", file=sys.stderr)
+        return EXIT_INPUT
+    if args.name not in FIXTURE_BUILDERS:
+        print("error: unknown fixture %r; known: %s" % (args.name, ", ".join(fixture_names())),
+              file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(formats.emit_map(get_fixture(args.name)))
     return EXIT_OK
@@ -201,11 +205,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except GroundSetTooLarge as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (FormatError, MapValidationError, FileNotFoundError, KeyError) as exc:
+    except (FormatError, MapValidationError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ReconstructionError as exc:

@@ -11,6 +11,11 @@ def canonical_key(s):
     return (len(s), tuple(sorted(s)))
 
 
+def set_text(s):
+    """The text form of a set, elements ascending: {1,2,3}, or {}."""
+    return "{%s}" % ",".join(str(e) for e in sorted(s))
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Deduplicated subsets of a ground set, in canonical order.
@@ -59,5 +64,4 @@ class SetFamily:
         return self
 
     def __str__(self):
-        body = ", ".join("{%s}" % ",".join(str(e) for e in sorted(s)) for s in self.members)
-        return "{%s}" % body
+        return "{%s}" % ", ".join(set_text(s) for s in self.members)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from .errors import FormatError
-from .families import SetFamily
+from .families import SetFamily, set_text
 from .maps import LabeledGraph, involution_from_pairs, validate_map
 
 
@@ -60,6 +60,9 @@ def parse_map(text):
             if not sep2:
                 raise FormatError("expected pair 'a-b', got %r" % tok, lineno)
             pairs.append((_int(a, lineno, "a flag"), _int(b, lineno, "a flag")))
+        # checked before involution_from_pairs allocates n entries
+        if 2 * len(pairs) != n:
+            raise FormatError("%d flags need %d pairs, got %d" % (n, n // 2, len(pairs)), lineno)
         matchings[color] = involution_from_pairs(n, pairs, color)
     if set(matchings) != {"R", "G", "B"}:
         raise FormatError("missing matching line(s): %s" % sorted({"R", "G", "B"} - set(matchings)))
@@ -147,4 +150,4 @@ def parse_family(text, warn=None):
 
 
 def emit_family(family):
-    return "".join("{%s}\n" % ",".join(str(e) for e in sorted(s)) for s in family.members)
+    return "".join(set_text(s) + "\n" for s in family.members)

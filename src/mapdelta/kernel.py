@@ -1,18 +1,10 @@
-"""Select the compiled selection-scan kernel, falling back to pure Python.
+"""The selection-scan kernel: the compiled `_scan` when it is built, else
+its pure-Python twin `_scan_py`."""
 
-Set MAPDELTA_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the kernel-equivalence tests).
-"""
-
-import os
-
-if os.environ.get("MAPDELTA_PURE_PYTHON"):
+try:
+    from . import _scan as scan  # type: ignore[attr-defined]
+except ImportError:
     from . import _scan_py as scan
-else:
-    try:
-        from . import _scan as scan  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _scan_py as scan
 
 survey_selections = scan.survey_selections
 IS_COMPILED = scan.IS_COMPILED

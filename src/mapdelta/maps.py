@@ -248,7 +248,7 @@ class CombinatorialMap:
         return out
 
 
-def _flag_graph_connected(n, rhos, skip=None):
+def _flag_graph_connected(n, rhos):
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -257,8 +257,6 @@ def _flag_graph_connected(n, rhos, skip=None):
         x = stack.pop()
         for rho in rhos:
             y = rho[x]
-            if skip is not None and (x, y) in skip:
-                continue
             if not seen[y]:
                 seen[y] = True
                 count += 1
@@ -290,14 +288,10 @@ def validate_map(name, rho_r, rho_g, rho_b):
             )
     if not _flag_graph_connected(n, (rho_r, rho_g, rho_b)):
         raise Disconnected("flag graph is not connected")
-    m = CombinatorialMap(name=name, n_flags=n, rho_r=rho_r, rho_g=rho_g, rho_b=rho_b)
-    # derived facts: 3-regularity is structural; edge 2-connectivity is not,
-    # so confirm no flag edge is a bridge
-    for x, y, _color in m.flag_edges():
-        assert _flag_graph_connected(n, (rho_r, rho_g, rho_b), skip={(x, y), (y, x)}), (
-            "flag edge (%d, %d) is a bridge; valid maps are edge 2-connected" % (x, y)
-        )
-    return m
+    # These axioms already make the flag graph bridgeless: a red or green
+    # edge lies on its 4-flag quadrilateral, and a black edge between two
+    # quadrilaterals on a red/black cycle of length at least 4.
+    return CombinatorialMap(name=name, n_flags=n, rho_r=rho_r, rho_g=rho_g, rho_b=rho_b)
 
 
 def from_rotation_system(name, graph, rotations, signs=None):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DisconnectedGraph, EmptyFamily, NotDeltaMatroid
+from .errors import DisconnectedGraph, NotDeltaMatroid
 from .families import SetFamily
 
 
@@ -60,23 +60,29 @@ class Matroid:
         return len(self.bases.members[0]) if self.bases.members else 0
 
 
-def _extremal_matroid(family, pick_max):
+def _require_delta_matroid(family):
     ok, witness = check_symmetric_exchange(family)
     if not ok:
         raise NotDeltaMatroid("family fails symmetric exchange at %r" % (witness,))
+    return family
+
+
+def extremal_matroids(family):
+    """(lower, upper): the matroids of the minimum- and the maximum-cardinality
+    members.  Unchecked: the caller has established symmetric exchange."""
     sizes = family.cardinalities()
-    k = sizes[-1] if pick_max else sizes[0]
-    return Matroid(ground=family.ground, bases=family.restrict_to_cardinality(k))
+    return tuple(Matroid(ground=family.ground, bases=family.restrict_to_cardinality(k))
+                 for k in (sizes[0], sizes[-1]))
 
 
 def upper_matroid(family):
     """Matroid of the maximum-cardinality feasible sets."""
-    return _extremal_matroid(family, pick_max=True)
+    return extremal_matroids(_require_delta_matroid(family))[1]
 
 
 def lower_matroid(family):
     """Matroid of the minimum-cardinality feasible sets."""
-    return _extremal_matroid(family, pick_max=False)
+    return extremal_matroids(_require_delta_matroid(family))[0]
 
 
 def _is_spanning_forest(graph, edge_ids, n_vertices):
@@ -128,5 +134,5 @@ def parity_uniform(family):
 
 def rank_gap_check(cmap, family):
     """rank(upper) - rank(lower) must equal 2 - Euler characteristic."""
-    gap = upper_matroid(family).rank - lower_matroid(family).rank
-    return gap == 2 - cmap.euler_characteristic()
+    lower, upper = extremal_matroids(_require_delta_matroid(family))
+    return upper.rank - lower.rank == 2 - cmap.euler_characteristic()

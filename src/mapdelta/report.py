@@ -5,17 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matroids, selections
-
-
-def _fmt_set(s):
-    return "{%s}" % ",".join(str(e) for e in sorted(s))
+from .families import set_text
 
 
 def _fmt_witness(witness):
     if witness is None:
         return ""
     f1, f2, x = witness
-    return "F1=%s F2=%s x=%s" % (_fmt_set(f1), _fmt_set(f2), x)
+    return "F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x)
 
 
 @dataclass
@@ -62,9 +59,12 @@ class Report:
 
 
 def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
-    """Run every structural check against one map and build a Report."""
-    f_gamma = selections.enumerate_feasible_gamma(cmap, max_edges=max_edges)
-    f_k = selections.enumerate_feasible_k(cmap, max_edges=max_edges)
+    """Run every structural check against one map and build a Report.
+
+    Each family comes from one scan and is checked for symmetric exchange
+    once; the matroids and the rank gap are read off the checked families.
+    """
+    f_gamma, f_k = selections.feasible_families(cmap, max_edges=max_edges)
     checks = []
 
     def add(name, passed, detail=""):
@@ -73,7 +73,7 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
     sel, swaps, initial = selections.find_hamiltonian(cmap, with_stats=True)
     add("gamma-nonempty", len(f_gamma) > 0, "no fully black Hamiltonian cycle found")
     add("gamma-contains-swap-search-result", sel.greens in f_gamma,
-        "swap search produced %s" % _fmt_set(sel.greens))
+        "swap search produced %s" % set_text(sel.greens))
     add("swap-search-within-bound",
         selections.is_fully_black_hamiltonian(cmap, sel) and swaps <= max(initial - 1, 0),
         "%d swaps from %d components" % (swaps, initial))
@@ -84,8 +84,7 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
     add("k-symmetric-exchange", ok, _fmt_witness(witness))
     add("gamma-subfamily-of-k", f_gamma.is_subfamily_of(f_k))
 
-    lower = matroids.lower_matroid(f_gamma)
-    upper = matroids.upper_matroid(f_gamma)
+    lower, upper = matroids.extremal_matroids(f_gamma)
     trees = matroids.spanning_tree_bases(cmap.underlying_graph())
     cotrees = matroids.cotree_bases(cmap.dual_graph())
     add("lower-is-cycle-matroid", lower.bases == trees,
@@ -97,11 +96,10 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
     ok, witness = matroids.check_basis_exchange(upper.bases)
     add("upper-basis-exchange", ok, _fmt_witness(witness))
 
-    add("k-matroids-match-gamma",
-        matroids.lower_matroid(f_k).bases == lower.bases
-        and matroids.upper_matroid(f_k).bases == upper.bases)
-    add("rank-gap-is-2-minus-chi", matroids.rank_gap_check(cmap, f_gamma),
-        "gap=%d chi=%d" % (upper.rank - lower.rank, cmap.euler_characteristic()))
+    lower_k, upper_k = matroids.extremal_matroids(f_k)
+    add("k-matroids-match-gamma", lower_k.bases == lower.bases and upper_k.bases == upper.bases)
+    gap, chi = upper.rank - lower.rank, cmap.euler_characteristic()
+    add("rank-gap-is-2-minus-chi", gap == 2 - chi, "gap=%d chi=%d" % (gap, chi))
 
     parities = {len(s) % 2 for s in f_gamma}
     if cmap.is_orientable():

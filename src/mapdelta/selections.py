@@ -106,7 +106,7 @@ def _scan(cmap, max_edges):
     )
 
 
-def _mask_family(cmap, masks, color):
+def _mask_family(cmap, masks, color=GREEN_PAIR):
     ground = frozenset(range(1, cmap.n_edges + 1))
     fam = SetFamily.of(ground, (Selection.from_mask(ground, mask).greens for mask in masks))
     if color == RED_PAIR:
@@ -135,6 +135,12 @@ def enumerate_feasible_k(cmap, color=GREEN_PAIR, max_edges=MAX_ENUM_EDGES):
     """
     _, link_masks = _scan(cmap, max_edges)
     return _mask_family(cmap, link_masks, color)
+
+
+def feasible_families(cmap, max_edges=MAX_ENUM_EDGES):
+    """(F_gamma, F_K), green-selected, from a single scan of the selections."""
+    ham_masks, link_masks = _scan(cmap, max_edges)
+    return _mask_family(cmap, ham_masks), _mask_family(cmap, link_masks)
 
 
 def find_hamiltonian(cmap, with_stats=False):

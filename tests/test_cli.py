@@ -1,5 +1,8 @@
-import pytest
+import os
+import subprocess
+import sys
 
+import mapdelta
 from mapdelta.cli import main
 from mapdelta.formats import emit_graph, emit_map
 from mapdelta.fixtures import get_fixture
@@ -125,3 +128,36 @@ class TestVerifyAll:
         code, out, _ = run(capsys, "verify-all", "--random", "5", "--seed", "3")
         assert code == 0
         assert out.count("map ") == 5
+
+
+class TestBadInputNoTraceback:
+    def test_directory_argument_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.map"
+        path.write_bytes(b"map caf\xe9\nflags 4\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_fixture_exit_1(self, capsys):
+        code, out, err = run(capsys, "examples", "show", "nosuch")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown fixture 'nosuch'; known: bridge, ")
+        assert err.count("\n") == 1
+
+    def test_closed_pipe_exits_quietly(self):
+        src = os.path.dirname(os.path.dirname(mapdelta.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mapdelta.cli", "verify-all", "torus1v"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

@@ -1,6 +1,7 @@
 import pytest
 
 from mapdelta.errors import FormatError
+from mapdelta.families import set_text
 from mapdelta.formats import (
     emit_family,
     emit_graph,
@@ -37,6 +38,13 @@ class TestMapFormat:
     def test_bad_pair_token(self):
         with pytest.raises(FormatError) as exc:
             parse_map("map x\nflags 4\nR: 01\nG: 1-2 3-0\nB: 0-2 1-3\n")
+        assert exc.value.line == 3
+
+    def test_pair_count_checked_before_allocation(self):
+        # 2 pairs cannot match 4e15 flags; the check must come before any
+        # array of n entries is built
+        with pytest.raises(FormatError) as exc:
+            parse_map("map x\nflags 4000000000000000\nR: 0-1 2-3\nG: 1-2 3-0\nB: 1-2 3-0\n")
         assert exc.value.line == 3
 
     def test_comments_and_blank_lines_ignored(self):
@@ -79,6 +87,10 @@ class TestFamilyFormat:
     def test_emit_is_canonical(self):
         fam = parse_family("{2,1}\n{3}\n{}\n")
         assert emit_family(fam) == "{}\n{3}\n{1,2}\n"
+
+    def test_set_text(self):
+        assert set_text(frozenset()) == "{}"
+        assert set_text({10, 2, 1}) == "{1,2,10}"
 
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):

@@ -12,6 +12,7 @@ from mapdelta import (
     subgraph_components,
 )
 from mapdelta.families import SetFamily
+from mapdelta.fixtures import all_fixtures
 from mapdelta.random_maps import random_map
 from mapdelta.selections import Selection
 
@@ -76,3 +77,34 @@ def test_family_canonicalization_is_idempotent_and_ordered(sets):
     keys = [(len(s), tuple(sorted(s))) for s in fam.members]
     assert keys == sorted(keys)
     assert fam.complement().complement() == fam
+
+
+def _reachable_without(cmap, x, y):
+    """True iff flag y is reachable from flag x once every flag edge
+    between x and y is removed."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        a = stack.pop()
+        for rho in (cmap.rho_r, cmap.rho_g, cmap.rho_b):
+            b = rho[a]
+            if {a, b} != {x, y} and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return y in seen
+
+
+def _assert_no_flag_bridge(cmap):
+    for x, y, color in cmap.flag_edges():
+        assert _reachable_without(cmap, x, y), "%s: %s edge %d-%d is a bridge" % (cmap.name, color, x, y)
+
+
+def test_fixtures_have_no_flag_bridge():
+    for m in all_fixtures():
+        _assert_no_flag_bridge(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_random_maps_have_no_flag_bridge(seed):
+    _assert_no_flag_bridge(random_map(seed, max_edges=8))
