@@ -72,8 +72,7 @@ def cmd_feasible(args):
 def cmd_matroids(args):
     cmap = _load_map(args.map)
     family = selections.enumerate_feasible_gamma(cmap, max_edges=args.max_edges)
-    lower = matroids.lower_matroid(family)
-    upper = matroids.upper_matroid(family)
+    lower, upper = matroids.extremal_matroids(matroids._require_delta_matroid(family))
     print("lower rank %d bases %s" % (lower.rank, lower.bases))
     print("upper rank %d bases %s" % (upper.rank, upper.bases))
     return EXIT_OK

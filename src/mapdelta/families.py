@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptyFamily
 
@@ -42,11 +43,16 @@ class SetFamily:
     def __iter__(self):
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self):
+        # built on the first membership query, not by `of`
+        return frozenset(self.members)
+
     def __contains__(self, s):
-        return frozenset(s) in set(self.members)
+        return frozenset(s) in self._member_set
 
     def is_subfamily_of(self, other):
-        return set(self.members) <= set(other.members)
+        return self._member_set <= other._member_set
 
     def complement(self):
         """The family of ground-set complements of the members."""

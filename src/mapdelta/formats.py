@@ -80,8 +80,8 @@ def emit_map(cmap):
     return "\n".join(lines) + "\n"
 
 
-def _vertex_token(tok):
-    return int(tok) if tok.lstrip("-").isdigit() else tok
+def _vertex_token(tok, lineno):
+    return _int(tok, lineno, "a vertex") if tok.lstrip("-").isdigit() else tok
 
 
 def parse_graph(text):
@@ -97,12 +97,12 @@ def parse_graph(text):
         elif parts[0] == "vertices":
             if vertices is not None:
                 raise FormatError("duplicate 'vertices' line", lineno)
-            vertices = tuple(_vertex_token(t) for t in parts[1:])
+            vertices = tuple(_vertex_token(t, lineno) for t in parts[1:])
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise FormatError("expected 'edge <id> <u> <v>'", lineno)
             edges.append((_int(parts[1], lineno, "an edge id"),
-                          _vertex_token(parts[2]), _vertex_token(parts[3])))
+                          _vertex_token(parts[2], lineno), _vertex_token(parts[3], lineno)))
         else:
             raise FormatError("unrecognized line %r" % line, lineno)
     if name is None or vertices is None:

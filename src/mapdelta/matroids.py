@@ -1,7 +1,9 @@
 """Exchange-axiom checkers, upper/lower matroids, and graph matroid oracles.
 
-All checks are brute force; the point of this package is exhaustive
-verification at desk scale, not oracle efficiency.
+The exchange checkers are exhaustive over all pairs of members, but run on
+integer bitmasks: each first member's exchange partners are found once, and
+the second members are tested for it together, as bits of one integer.  The
+spanning-tree oracle is brute force over edge subsets.
 """
 
 from __future__ import annotations
@@ -13,6 +15,59 @@ from .errors import DisconnectedGraph, NotDeltaMatroid
 from .families import SetFamily
 
 
+def _first_violation(family, x_in_f1):
+    """The first (F1, F2, x) in canonical order with no y in F1 ^ F2 such
+    that F1 ^ {x, y} is a member, x ranging over F1 ^ F2 (over F1 - F2 when
+    x_in_f1), or None.
+
+    Bit i of a mask is the i-th smallest ground element, so ascending bits
+    are ascending elements.  For each F1, cover[x] is the mask of every y
+    with F1 ^ {x, y} a member (y = x included); (F2, x) violates exactly
+    when F2 differs from F1 at x and agrees with it on cover[x].  Bit j of
+    cols[y] tells whether member j holds y, so the members F2 violating at
+    one x are an AND of columns, as the bits of one integer.  The lowest
+    such member over all x, then the lowest x for it, is the first violation.
+    """
+    members = family.members
+    ground = sorted(family.ground)
+    m = len(ground)
+    bit = {e: i for i, e in enumerate(ground)}
+    masks = []
+    cols = [0] * m
+    for j, s in enumerate(members):
+        mask = 0
+        for e in s:
+            mask |= 1 << bit[e]
+            cols[bit[e]] |= 1 << j
+        masks.append(mask)
+    everyone = (1 << len(members)) - 1
+    present = set(masks)
+    for f1, a in zip(members, masks):
+        cover = [0] * m
+        for x in range(m):
+            for y in range(x, m):
+                if a ^ (1 << x | 1 << y) in present:
+                    cover[x] |= 1 << y
+                    cover[y] |= 1 << x
+        same = [cols[y] if a >> y & 1 else everyone ^ cols[y] for y in range(m)]
+        first, at = 0, None
+        for x in range(m):
+            if cover[x] >> x & 1 or (x_in_f1 and not a >> x & 1):
+                continue  # F1 ^ {x} is a member, or x is outside the range
+            hits = everyone ^ same[x]
+            rest = cover[x]
+            while rest and hits:
+                low = rest & -rest
+                hits &= same[low.bit_length() - 1]
+                rest ^= low
+            low = hits & -hits
+            if low and (at is None or low < first):
+                first, at = low, x
+        if at is not None:
+            return f1, members[first.bit_length() - 1], ground[at]
+    return None
+
+
 def check_symmetric_exchange(family):
     """Symmetric exchange: for F1, F2 and x in F1 ^ F2 some y in F1 ^ F2
     has F1 ^ {x, y} in the family (y = x allowed).
@@ -21,14 +76,8 @@ def check_symmetric_exchange(family):
     triple in canonical order.
     """
     family.require_nonempty()
-    members = set(family.members)
-    for f1 in family.members:
-        for f2 in family.members:
-            diff = f1 ^ f2
-            for x in sorted(diff):
-                if not any(f1 ^ {x, y} in members for y in diff):
-                    return False, (f1, f2, x)
-    return True, None
+    witness = _first_violation(family, x_in_f1=False)
+    return witness is None, witness
 
 
 def check_basis_exchange(family):
@@ -41,13 +90,10 @@ def check_basis_exchange(family):
         small = family.restrict_to_cardinality(sizes[0]).members[0]
         big = family.restrict_to_cardinality(sizes[-1]).members[0]
         return False, (small, big, None)
-    members = set(family.members)
-    for b1 in family.members:
-        for b2 in family.members:
-            for x in sorted(b1 - b2):
-                if not any(b1 ^ {x, y} in members for y in b2 - b1):
-                    return False, (b1, b2, x)
-    return True, None
+    # for x in B1, B1 ^ {x, y} has |B1| elements only for y outside B1, so
+    # this is symmetric exchange with x restricted to B1 - B2
+    witness = _first_violation(family, x_in_f1=True)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)

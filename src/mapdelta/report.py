@@ -15,6 +15,14 @@ def _fmt_witness(witness):
     return "F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x)
 
 
+def _exchange(family):
+    """(passed, detail) of the symmetric-exchange check; an empty family fails it."""
+    if not family:
+        return False, "no feasible sets"
+    ok, witness = matroids.check_symmetric_exchange(family)
+    return ok, _fmt_witness(witness)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -62,7 +70,8 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
     """Run every structural check against one map and build a Report.
 
     Each family comes from one scan and is checked for symmetric exchange
-    once; the matroids and the rank gap are read off the checked families.
+    once (F_K not again when it equals F_gamma); the matroids and the rank
+    gap are read off the checked families when both are nonempty.
     """
     f_gamma, f_k = selections.feasible_families(cmap, max_edges=max_edges)
     checks = []
@@ -78,28 +87,31 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         selections.is_fully_black_hamiltonian(cmap, sel) and swaps <= max(initial - 1, 0),
         "%d swaps from %d components" % (swaps, initial))
 
-    ok, witness = matroids.check_symmetric_exchange(f_gamma)
-    add("gamma-symmetric-exchange", ok, _fmt_witness(witness))
-    ok, witness = matroids.check_symmetric_exchange(f_k)
-    add("k-symmetric-exchange", ok, _fmt_witness(witness))
+    gamma_exchange = _exchange(f_gamma)
+    add("gamma-symmetric-exchange", *gamma_exchange)
+    add("k-symmetric-exchange", *(gamma_exchange if f_k == f_gamma else _exchange(f_k)))
     add("gamma-subfamily-of-k", f_gamma.is_subfamily_of(f_k))
 
-    lower, upper = matroids.extremal_matroids(f_gamma)
-    trees = matroids.spanning_tree_bases(cmap.underlying_graph())
-    cotrees = matroids.cotree_bases(cmap.dual_graph())
-    add("lower-is-cycle-matroid", lower.bases == trees,
-        "lower=%s trees=%s" % (lower.bases, trees))
-    add("upper-is-cocycle-matroid", upper.bases == cotrees,
-        "upper=%s cotrees=%s" % (upper.bases, cotrees))
-    ok, witness = matroids.check_basis_exchange(lower.bases)
-    add("lower-basis-exchange", ok, _fmt_witness(witness))
-    ok, witness = matroids.check_basis_exchange(upper.bases)
-    add("upper-basis-exchange", ok, _fmt_witness(witness))
+    lower_rank = upper_rank = 0
+    # the matroids are read off nonempty families only
+    if f_gamma and f_k:
+        lower, upper = matroids.extremal_matroids(f_gamma)
+        lower_rank, upper_rank = lower.rank, upper.rank
+        trees = matroids.spanning_tree_bases(cmap.underlying_graph())
+        cotrees = matroids.cotree_bases(cmap.dual_graph())
+        add("lower-is-cycle-matroid", lower.bases == trees,
+            "lower=%s trees=%s" % (lower.bases, trees))
+        add("upper-is-cocycle-matroid", upper.bases == cotrees,
+            "upper=%s cotrees=%s" % (upper.bases, cotrees))
+        ok, witness = matroids.check_basis_exchange(lower.bases)
+        add("lower-basis-exchange", ok, _fmt_witness(witness))
+        ok, witness = matroids.check_basis_exchange(upper.bases)
+        add("upper-basis-exchange", ok, _fmt_witness(witness))
 
-    lower_k, upper_k = matroids.extremal_matroids(f_k)
-    add("k-matroids-match-gamma", lower_k.bases == lower.bases and upper_k.bases == upper.bases)
-    gap, chi = upper.rank - lower.rank, cmap.euler_characteristic()
-    add("rank-gap-is-2-minus-chi", gap == 2 - chi, "gap=%d chi=%d" % (gap, chi))
+        lower_k, upper_k = matroids.extremal_matroids(f_k)
+        add("k-matroids-match-gamma", lower_k.bases == lower.bases and upper_k.bases == upper.bases)
+        gap, chi = upper_rank - lower_rank, cmap.euler_characteristic()
+        add("rank-gap-is-2-minus-chi", gap == 2 - chi, "gap=%d chi=%d" % (gap, chi))
 
     parities = {len(s) % 2 for s in f_gamma}
     if cmap.is_orientable():
@@ -118,7 +130,7 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         orientable=cmap.is_orientable(),
         gamma_size=len(f_gamma),
         k_size=len(f_k),
-        lower_rank=lower.rank,
-        upper_rank=upper.rank,
+        lower_rank=lower_rank,
+        upper_rank=upper_rank,
         checks=checks,
     )

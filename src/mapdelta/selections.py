@@ -171,7 +171,6 @@ def find_hamiltonian(cmap, with_stats=False):
         else:  # connected flag graph guarantees a cross-component quad
             raise AssertionError("disconnected subgraph with no cross-component quadrilateral")
         cycles = subgraph_components(cmap, sel)
-    assert swaps <= max(initial - 1, 0)
     if with_stats:
         return sel, swaps, initial
     return sel

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import mapdelta
+from mapdelta import matroids
 from mapdelta.cli import main
 from mapdelta.formats import emit_graph, emit_map
 from mapdelta.fixtures import get_fixture
@@ -66,6 +67,16 @@ class TestFeasibleAndMatroids:
         code, out, _ = run(capsys, "matroids", "torus1v")
         assert code == 0
         assert "lower rank 0" in out and "upper rank 2" in out
+
+    def test_matroids_checks_exchange_once(self, capsys, monkeypatch):
+        calls = []
+        check = matroids.check_symmetric_exchange
+        monkeypatch.setattr(matroids, "check_symmetric_exchange", lambda f: calls.append(f) or check(f))
+        code, out, _ = run(capsys, "matroids", "k4sphere")
+        bases = ("{{1,2,3}, {1,2,5}, {1,2,6}, {1,3,4}, {1,3,6}, {1,4,5}, {1,4,6}, {1,5,6}, "
+                 "{2,3,4}, {2,3,5}, {2,4,5}, {2,4,6}, {2,5,6}, {3,4,5}, {3,4,6}, {3,5,6}}")
+        assert code == 0 and len(calls) == 1
+        assert out == "lower rank 3 bases %s\nupper rank 3 bases %s\n" % (bases, bases)
 
     def test_size_guard_exit_3(self, capsys):
         code, _, err = run(capsys, "feasible", "--max-edges", "5", "k5torus")

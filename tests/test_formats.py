@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mapdelta.errors import FormatError
+from mapdelta.errors import FormatError, MapValidationError
 from mapdelta.families import set_text
 from mapdelta.formats import (
     emit_family,
@@ -95,3 +96,32 @@ class TestFamilyFormat:
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):
             parse_family("1,2,3\n")
+
+
+# --- fuzz: arbitrary text leaves the parsers only through their documented errors
+
+_TOKENS = st.sampled_from([
+    "map", "flags", "graph", "vertices", "edge", "R:", "G:", "B:", "R", ":", "-", "#",
+    "{", "}", "{}", ",", "0", "1", "2", "3", "4", "8", "-1", "--1", "0-1", "2-3", "1-2",
+    "3-0", "0-0", "{1,2}", "{1,,2}", "{0}", "{-3,10}", "²", "٣", "1_0", "x", "4000000000000000",
+])
+_KEYWORDS = st.sampled_from(["map f", "flags 4", "graph g", "vertices", "edge", "R:", "G:", "B:", "{1}"])
+_LINES = st.lists(st.tuples(_KEYWORDS, st.lists(_TOKENS | st.text(max_size=6), max_size=6))
+                  .map(lambda t: " ".join((t[0],) + tuple(t[1]))), max_size=7)
+_TEXT = st.text() | _LINES.map("\n".join)
+# three perfect matchings on n flags, to get past the syntax to the map axioms
+_MAP_LIKE = st.sampled_from([4, 8]).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=3, max_size=3,
+).map(lambda perms: "map f\nflags %d\n" % n + "".join(
+    "%s: %s\n" % (c, " ".join("%d-%d" % (p[i], p[i + 1]) for i in range(0, n, 2)))
+    for c, p in zip("RGB", perms))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT | _MAP_LIKE)
+def test_parsers_raise_only_documented_errors(text):
+    for parse in (parse_map, parse_graph, lambda t: parse_family(t, warn=lambda msg: None)):
+        try:
+            parse(text)
+        except (FormatError, MapValidationError):
+            pass

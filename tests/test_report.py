@@ -3,7 +3,7 @@ that fails exchange is reported, not raised."""
 
 import pytest
 
-from mapdelta import NotDeltaMatroid, Selection, SetFamily, cli, kernel, matroids, report
+from mapdelta import NotDeltaMatroid, Selection, SetFamily, cli, kernel, matroids, report, selections
 from mapdelta.fixtures import all_fixtures, get_fixture
 from mapdelta.random_maps import random_corpus
 from mapdelta.report import verify_map
@@ -22,14 +22,41 @@ def counting(monkeypatch, module, name):
 
 
 def test_one_scan_and_two_exchange_checks_per_map(monkeypatch):
+    """Two checks where F_K differs from F_gamma, one where it equals it."""
     scans = counting(monkeypatch, kernel, "survey_selections")
     checks = counting(monkeypatch, matroids, "check_symmetric_exchange")
     maps = [m for m in all_fixtures() if m.n_edges <= 6] + random_corpus(7, 10, max_edges=6)
     for cmap in maps:
+        f_gamma, f_k = selections.feasible_families(cmap)
         del scans[:], checks[:]
         assert verify_map(cmap).all_passed
         assert len(scans) == 1, cmap.name
-        assert len(checks) == 2, cmap.name
+        assert len(checks) == (1 if f_k == f_gamma else 2), cmap.name
+
+
+def test_k_verdict_reused_when_k_equals_gamma(monkeypatch):
+    cmap = get_fixture("k4sphere")
+    f_gamma, f_k = selections.feasible_families(cmap)
+    assert f_k == f_gamma
+    checks = counting(monkeypatch, matroids, "check_symmetric_exchange")
+    rep = verify_map(cmap)
+    assert checks == [(f_gamma,)]
+    assert "PASS gamma-symmetric-exchange\nPASS k-symmetric-exchange\n" in rep.render()
+
+
+@pytest.mark.parametrize("drop_links", [False, True])
+def test_empty_family_is_reported_not_raised(monkeypatch, capsys, drop_links):
+    """The kernel returns no Hamiltonian masks (and, with drop_links, no
+    2-valent ones either): F_gamma (and F_K) are empty."""
+    intact = kernel.survey_selections
+    monkeypatch.setattr(kernel, "survey_selections",
+                        lambda *args: ([], [] if drop_links else intact(*args)[1]))
+    assert cli.main(["verify-all", "torus1v"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL gamma-nonempty  [no fully black Hamiltonian cycle found]\n" in out
+    assert "FAIL gamma-symmetric-exchange  [no feasible sets]\n" in out
+    assert ("FAIL" if drop_links else "PASS") + " k-symmetric-exchange" in out
+    assert "lower-is-cycle-matroid" not in out
 
 
 def test_rank_gap_check_checks_exchange_once(monkeypatch):
