@@ -19,7 +19,7 @@ from .errors import (
 )
 from .families import set_text
 from .fixtures import FIXTURE_BUILDERS, fixture_names, get_fixture
-from .random_maps import random_corpus
+from .random_maps import DEFAULT_MAX_EDGES, random_corpus
 from .rebuild import build_map, recover_rotations
 from .report import verify_map
 
@@ -111,12 +111,17 @@ def cmd_reconstruct(args):
 def cmd_verify_all(args):
     maps = [_load_map(m) for m in args.maps]
     if args.random:
-        maps.extend(random_corpus(args.seed, args.random, max_edges=min(args.max_edges, 7)))
+        random_edges = DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges
+        if random_edges < 1:
+            print("error: --max-edges must be at least 1 for --random maps", file=sys.stderr)
+            return EXIT_INPUT
+        maps.extend(random_corpus(args.seed, args.random, max_edges=random_edges))
     if not maps:
         maps = [get_fixture(name) for name in fixture_names()]
+    limit = selections.MAX_ENUM_EDGES if args.max_edges is None else args.max_edges
     failed = False
     for cmap in maps:
-        rep = verify_map(cmap, max_edges=args.max_edges)
+        rep = verify_map(cmap, max_edges=limit)
         sys.stdout.write(rep.render())
         failed = failed or not rep.all_passed
     return EXIT_VIOLATION if failed else EXIT_OK
@@ -189,7 +194,9 @@ def build_parser():
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="also verify N seeded random maps")
     p.add_argument("--seed", type=int, default=0)
-    _add_max_edges(p)
+    p.add_argument("--max-edges", type=int, default=None,
+                   help="refuse enumeration beyond this many edges (default %d); also the most "
+                        "edges of a --random map (default %d)" % (selections.MAX_ENUM_EDGES, DEFAULT_MAX_EDGES))
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("examples", help="list or show the shipped fixture maps")

@@ -1,10 +1,154 @@
-"""The selection-scan kernel: the compiled `_scan` when it is built, else
-its pure-Python twin `_scan_py`."""
+"""The selection-scan kernel: all 2^m selections tested at once, bit-sliced.
 
-try:
-    from . import _scan as scan  # type: ignore[attr-defined]
-except ImportError:
-    from . import _scan_py as scan
+A selection mask p has bit e - 1 set when the green pair is kept on edge e.
+The scan classifies the fully black 2-regular subgraph K of every mask:
 
-survey_selections = scan.survey_selections
-IS_COMPILED = scan.IS_COMPILED
+  * Hamiltonian: K is a single cycle through all flags;
+  * doubly linkable: K + all red edges and K + all green edges are both
+    connected.
+
+Instead of looping over the masks, the scan works on Python ints in which
+bit p stands for mask p (bit slicing), so one big-int AND or OR moves a
+whole block of masks through a step of the test:
+
+  * `col[e]` holds the masks that keep the green pair on edge e + 1;
+  * Hamiltonicity traces the cycle through flag 0 for every mask at once:
+    `at[x]` holds the masks whose trace sits on flag x, and each step sends
+    `at[x] & col[e]` along the green edge and the rest along the red one,
+    then the black edge.  Masks back at flag 0 before step n/2 close a
+    shorter cycle and are dropped; those back at the last step are
+    Hamiltonian.
+  * Linkability is reachability from component 0 over the red/black
+    components (the vertices) with the green edges of `col[e]` as arcs,
+    and over the green/black components (the faces) with the red edges of
+    the other masks as arcs.
+
+The masks go through in blocks of BLOCK_MASKS.  Within a block only the low
+edges vary; the column of a higher edge is all ones or all zeros, so memory
+stays bounded for any m the scan accepts.
+"""
+
+import sys
+from itertools import compress
+
+IS_COMPILED = False  # there is no compiled kernel; perfbench records this flag
+scan = sys.modules[__name__]  # the module that implements survey_selections
+
+BLOCK_MASKS = 1 << 16  # masks per block; a power of two
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _component_arcs(n, inside, across, edge_of_flag):
+    """Label the components of the flag graph whose edges are the partner
+    arrays `inside`; return, for each component a, the distinct arcs
+    (b, edge bit) by which the partner array `across` joins it to another
+    component b."""
+    label = [-1] * n
+    nlabels = 0
+    for start in range(n):
+        if label[start] != -1:
+            continue
+        label[start] = nlabels
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for partner in inside:
+                y = partner[x]
+                if label[y] == -1:
+                    label[y] = nlabels
+                    stack.append(y)
+        nlabels += 1
+    arcs = [set() for _ in range(nlabels)]
+    for x in range(n):
+        a, b = label[x], label[across[x]]
+        if a != b:
+            arcs[a].add((b, edge_of_flag[x] - 1))
+    return [sorted(out) for out in arcs]
+
+
+def _columns(width):
+    """col[e] for e < width over 2^width masks: bit p set iff bit e of p is."""
+    size = 1 << width
+    cols = []
+    for e in range(width):
+        run = 1 << e
+        col = ((1 << run) - 1) << run  # one period: run zeros, then run ones
+        period = 2 * run
+        while period < size:
+            col |= col << period
+            period *= 2
+        cols.append(col)
+    return cols
+
+
+def _hamiltonian(n, rho_r, rho_g, rho_b, edge_of_flag, col, full):
+    """Masks whose trace from flag 0 first returns to it after n flags."""
+    moves = [(col[edge_of_flag[x] - 1], rho_b[rho_g[x]], rho_b[rho_r[x]]) for x in range(n)]
+    at = {0: full}
+    closed = 0
+    for _ in range(n // 2):
+        step = {}
+        get = step.get
+        for x, p in at.items():
+            c, yg, yr = moves[x]
+            green = p & c
+            if green:
+                step[yg] = get(yg, 0) | green
+            red = p ^ green
+            if red:
+                step[yr] = get(yr, 0) | red
+        closed = step.pop(0, 0)
+        at = step
+    return closed
+
+
+def _connected(arcs, gate, masks):
+    """The masks of `masks` for which every component is reachable from
+    component 0 over the arcs (b, e) with the mask in gate[e]."""
+    reach = [0] * len(arcs)
+    reach[0] = masks
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        here = reach[a]
+        for b, e in arcs[a]:
+            old = reach[b]
+            new = old | (here & gate[e])
+            if new != old:
+                reach[b] = new
+                todo.append(b)
+    linked = masks
+    for r in reach:
+        linked &= r
+    return linked
+
+
+def _append_bits(out, x, base):
+    """Append base + p for every set bit p of x, in ascending order."""
+    if x:
+        bits = format(x, "b").encode().translate(_BITS)[::-1]
+        out.extend(compress(range(base, base + len(bits)), bits))
+
+
+def survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
+    """Scan all 2^m selections; return (hamiltonian_masks, linkable_masks),
+    each an ascending list."""
+    # green edges join the vertices, red edges join the faces
+    arcs_r = _component_arcs(n, (rho_r, rho_b), rho_g, edge_of_flag)
+    arcs_g = _component_arcs(n, (rho_g, rho_b), rho_r, edge_of_flag)
+
+    width = min(m, BLOCK_MASKS.bit_length() - 1)
+    full = (1 << (1 << width)) - 1
+    low = _columns(width)
+    ham_masks = []
+    link_masks = []
+    for block in range(1 << (m - width)):
+        col = low + [full if (block >> i) & 1 else 0 for i in range(m - width)]
+        base = block << width
+        _append_bits(ham_masks, _hamiltonian(n, rho_r, rho_g, rho_b, edge_of_flag, col, full), base)
+        linked = _connected(arcs_r, col, full)
+        if linked:
+            linked = _connected(arcs_g, [full ^ c for c in col], linked)
+        _append_bits(link_masks, linked, base)
+    return ham_masks, link_masks

@@ -11,10 +11,12 @@ import random
 
 from .maps import LabeledGraph, from_rotation_system
 
+DEFAULT_MAX_EDGES = 7  # most edges of a random map unless a caller says otherwise
 
-def random_labeled_graph(rng, max_edges=7):
+
+def random_labeled_graph(rng, max_edges=DEFAULT_MAX_EDGES):
     while True:
-        n_vertices = rng.randint(1, 4)
+        n_vertices = rng.randint(1, min(4, max_edges + 1))
         m = rng.randint(max(1, n_vertices - 1), max_edges)
         edges = []
         for eid in range(1, m + 1):
@@ -26,7 +28,7 @@ def random_labeled_graph(rng, max_edges=7):
             return g
 
 
-def random_map(seed, max_edges=7):
+def random_map(seed, max_edges=DEFAULT_MAX_EDGES):
     rng = random.Random(seed)
     g = random_labeled_graph(rng, max_edges=max_edges)
     darts = {v: [] for v in g.vertices}
@@ -41,7 +43,7 @@ def random_map(seed, max_edges=7):
     return from_rotation_system("rand-%d" % seed, g, rotations, signs)
 
 
-def random_corpus(seed, count, max_edges=7):
+def random_corpus(seed, count, max_edges=DEFAULT_MAX_EDGES):
     """`count` independent random maps derived from one master seed."""
     rng = random.Random(seed)
     return [random_map(rng.randrange(2**60), max_edges=max_edges) for _ in range(count)]

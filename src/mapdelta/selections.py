@@ -4,6 +4,12 @@ Every such subgraph keeps all black edges and, on each quadrilateral, either
 its two green or its two red edges.  A selection is encoded by the set of
 green-selected edge ids; iterating selections as m-bit masks (bit i =
 green on edge i + 1) keeps every enumeration reproducible.
+
+The feasible families come from one exhaustive scan of the 2^m masks, made
+by the bit-sliced `kernel.survey_selections`; `MAX_ENUM_EDGES` guards its
+size.  The per-selection functions here (`subgraph_components`,
+`is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
+time.
 """
 
 from __future__ import annotations

@@ -140,6 +140,33 @@ class TestVerifyAll:
         assert code == 0
         assert out.count("map ") == 5
 
+    @staticmethod
+    def edge_counts(out):
+        return [int(line.split(" m=")[1].split()[0]) for line in out.splitlines() if line.startswith("map ")]
+
+    def test_random_maps_follow_max_edges(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--random", "20", "--seed", "1", "--max-edges", "9")
+        assert code == 0
+        counts = self.edge_counts(out)
+        assert len(counts) == 20 and max(counts) > 7 and max(counts) <= 9
+
+    def test_random_maps_default_to_seven_edges(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--random", "20", "--seed", "1")
+        assert code == 0
+        assert max(self.edge_counts(out)) == 7
+
+    def test_random_maps_with_two_edges(self, capsys):
+        """Four vertices need three edges; the graph draws fewer vertices."""
+        code, out, _ = run(capsys, "verify-all", "--random", "20", "--seed", "1", "--max-edges", "2")
+        assert code == 0
+        counts = self.edge_counts(out)
+        assert len(counts) == 20 and max(counts) == 2
+
+    def test_random_maps_need_an_edge(self, capsys):
+        code, out, err = run(capsys, "verify-all", "--random", "2", "--max-edges", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBadInputNoTraceback:
     def test_directory_argument_exit_1(self, capsys, tmp_path):

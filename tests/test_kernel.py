@@ -1,0 +1,139 @@
+"""The bit-sliced selection scan against the per-mask loop it replaced,
+kept here as a referee: the same Hamiltonian and linkable mask lists,
+element for element, on every map."""
+
+import pytest
+
+from mapdelta import kernel
+from mapdelta.fixtures import all_fixtures
+from mapdelta.maps import LabeledGraph, from_rotation_system
+from mapdelta.random_maps import random_corpus
+from mapdelta.selections import MAX_ENUM_EDGES
+
+
+def _components(n, partner_lists):
+    """Component labels of the flag graph with the given partner arrays."""
+    label = [-1] * n
+    nlabels = 0
+    for start in range(n):
+        if label[start] != -1:
+            continue
+        label[start] = nlabels
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for partner in partner_lists:
+                y = partner[x]
+                if label[y] == -1:
+                    label[y] = nlabels
+                    stack.append(y)
+        nlabels += 1
+    return label, nlabels
+
+
+def _find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
+    """Scan all 2^m selections; return (hamiltonian_masks, linkable_masks)."""
+    comp_r, ncomp_r = _components(n, (rho_r, rho_b))
+    comp_g, ncomp_g = _components(n, (rho_g, rho_b))
+
+    ham_masks = []
+    link_masks = []
+    for mask in range(1 << m):
+        # Hamiltonicity: trace the cycle through flag 0, alternating the
+        # chosen red/green edge with the black edge.
+        x = 0
+        length = 0
+        while True:
+            x = rho_g[x] if (mask >> (edge_of_flag[x] - 1)) & 1 else rho_r[x]
+            x = rho_b[x]
+            length += 2
+            if x == 0:
+                break
+        if length == n:
+            ham_masks.append(mask)
+
+        # K + red connected: green-chosen edges must join up the red/black
+        # components (red-chosen and black edges are already inside them).
+        ok = True
+        if ncomp_r > 1:
+            parent = list(range(ncomp_r))
+            left = ncomp_r - 1
+            for x in range(n):
+                if (mask >> (edge_of_flag[x] - 1)) & 1:
+                    a = _find(parent, comp_r[x])
+                    b = _find(parent, comp_r[rho_g[x]])
+                    if a != b:
+                        parent[a] = b
+                        left -= 1
+            ok = left == 0
+        if ok and ncomp_g > 1:
+            parent = list(range(ncomp_g))
+            left = ncomp_g - 1
+            for x in range(n):
+                if not (mask >> (edge_of_flag[x] - 1)) & 1:
+                    a = _find(parent, comp_g[x])
+                    b = _find(parent, comp_g[rho_r[x]])
+                    if a != b:
+                        parent[a] = b
+                        left -= 1
+            ok = left == 0
+        if ok:
+            link_masks.append(mask)
+    return ham_masks, link_masks
+
+
+def scan_args(cmap):
+    return cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag
+
+
+def plane_grid(rows, cols):
+    """The rows x cols grid graph with its plane rotation system."""
+    vid = lambda i, j: i * cols + j  # noqa: E731
+    edges, darts = [], {vid(i, j): {} for i in range(rows) for j in range(cols)}
+    for i in range(rows):
+        for j in range(cols):
+            for di, dj, here, there in ((0, 1, "E", "W"), (1, 0, "N", "S")):
+                if i + di < rows and j + dj < cols:
+                    eid = len(edges) + 1
+                    edges.append((eid, vid(i, j), vid(i + di, j + dj)))
+                    darts[vid(i, j)][here] = (eid, 0)
+                    darts[vid(i + di, j + dj)][there] = (eid, 1)
+    name = "grid%dx%d" % (rows, cols)
+    graph = LabeledGraph(name, tuple(range(rows * cols)), tuple(edges))
+    rotations = {v: tuple(d[k] for k in "ENWS" if k in d) for v, d in darts.items()}
+    return from_rotation_system(name, graph, rotations)
+
+
+@pytest.fixture(scope="module")
+def refereed():
+    maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
+    return [(c, referee_survey_selections(*scan_args(c))) for c in maps]
+
+
+@pytest.mark.parametrize("block", [kernel.BLOCK_MASKS, 1 << 3])
+def test_kernel_matches_referee(refereed, monkeypatch, block):
+    """With 2^3 masks per block every map with m > 3 crosses blocks."""
+    monkeypatch.setattr(kernel, "BLOCK_MASKS", block)
+    assert max(c.n_edges for c, _ in refereed) == 10
+    for cmap, expected in refereed:
+        assert kernel.survey_selections(*scan_args(cmap)) == expected, cmap.name
+
+
+def test_scan_at_the_edge_guard():
+    """The 4x4 plane grid has m = MAX_ENUM_EDGES; on a plane map both
+    families are the spanning trees, 100,352 of them."""
+    grid = plane_grid(4, 4)
+    assert grid.n_edges == MAX_ENUM_EDGES == 24
+    ham, link = kernel.survey_selections(*scan_args(grid))
+    assert len(ham) == len(link) == 100_352
+    assert ham == link
+    assert ham == sorted(set(ham)) and link == sorted(set(link))

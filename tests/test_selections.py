@@ -140,18 +140,3 @@ class TestSwapDynamics:
                     after = len(subgraph_components(m, s.swap(eid)))
                     assert abs(after - before) <= 1
 
-
-class TestKernelEquivalence:
-    def test_compiled_and_python_kernels_agree(self):
-        from mapdelta import _scan_py
-
-        try:
-            from mapdelta import _scan
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        maps = all_fixtures() + [random_map(s, max_edges=8) for s in range(25)]
-        for m in maps:
-            args = (m.n_flags, m.n_edges, m.rho_r, m.rho_g, m.rho_b, m.edge_of_flag)
-            a = _scan.survey_selections(*args)
-            b = _scan_py.survey_selections(*args)
-            assert [list(x) for x in a] == [list(x) for x in b]
