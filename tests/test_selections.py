@@ -12,7 +12,6 @@ from mapdelta import (
 )
 from mapdelta.families import SetFamily
 from mapdelta.fixtures import all_fixtures, get_fixture
-from mapdelta.random_maps import random_map
 from mapdelta.selections import all_green
 
 
