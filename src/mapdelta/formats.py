@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from .errors import FormatError
-from .families import SetFamily, set_text
+from .families import SetFamily
 from .maps import LabeledGraph, involution_from_pairs, validate_map
 
 
@@ -135,7 +135,10 @@ def parse_family(text, warn=None):
             raise FormatError("expected a set like {1,2,3}, got %r" % line, lineno)
         body = line[1:-1].strip()
         if body:
-            elems = frozenset(_int(t.strip(), lineno, "an edge id") for t in body.split(","))
+            try:
+                elems = frozenset(map(int, body.split(",")))
+            except ValueError:  # _int names the token that int() rejects
+                elems = frozenset(_int(t.strip(), lineno, "an edge id") for t in body.split(","))
         else:
             elems = frozenset()
         if elems in seen:
@@ -150,4 +153,4 @@ def parse_family(text, warn=None):
 
 
 def emit_family(family):
-    return "".join(set_text(s) + "\n" for s in family.members)
+    return "".join([t + "\n" for t in family.texts()])

@@ -28,21 +28,15 @@ def _first_violation(family, x_in_f1):
     one x are an AND of columns, as the bits of one integer.  The lowest
     such member over all x, then the lowest x for it, is the first violation.
     """
-    members = family.members
-    ground = sorted(family.ground)
-    m = len(ground)
-    bit = {e: i for i, e in enumerate(ground)}
-    masks = []
-    cols = [0] * m
-    for j, s in enumerate(members):
-        mask = 0
-        for e in s:
-            mask |= 1 << bit[e]
-            cols[bit[e]] |= 1 << j
-        masks.append(mask)
-    everyone = (1 << len(members)) - 1
+    masks = family.masks
+    m = len(family.ground)
+    # row j is member j's bits, highest first, with member 0 as the last row;
+    # a leading 1 keeps every row m characters long, m = 0 included
+    rows = [format(p | 1 << m, "b")[1:] for p in reversed(masks)]
+    cols = [int("".join(col), 2) for col in zip(*rows)][::-1]
+    everyone = (1 << len(masks)) - 1
     present = set(masks)
-    for f1, a in zip(members, masks):
+    for a in masks:
         cover = [0] * m
         for x in range(m):
             for y in range(x, m):
@@ -64,7 +58,7 @@ def _first_violation(family, x_in_f1):
             if low and (at is None or low < first):
                 first, at = low, x
         if at is not None:
-            return f1, members[first.bit_length() - 1], ground[at]
+            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), family.elements[at]
     return None
 
 
@@ -87,9 +81,9 @@ def check_basis_exchange(family):
     family.require_nonempty()
     sizes = family.cardinalities()
     if len(sizes) > 1:
-        small = family.restrict_to_cardinality(sizes[0]).members[0]
-        big = family.restrict_to_cardinality(sizes[-1]).members[0]
-        return False, (small, big, None)
+        # the masks run by cardinality: the first of each size comes first
+        big = next(p for p in family.masks if p.bit_count() == sizes[-1])
+        return False, (family.set_of(family.masks[0]), family.set_of(big), None)
     # for x in B1, B1 ^ {x, y} has |B1| elements only for y outside B1, so
     # this is symmetric exchange with x restricted to B1 - B2
     witness = _first_violation(family, x_in_f1=True)
@@ -103,7 +97,7 @@ class Matroid:
 
     @property
     def rank(self):
-        return len(self.bases.members[0]) if self.bases.members else 0
+        return self.bases.masks[0].bit_count() if self.bases.masks else 0
 
 
 def _require_delta_matroid(family):
@@ -174,8 +168,7 @@ def cotree_bases(graph):
 def parity_uniform(family):
     """True iff all member cardinalities have the same parity."""
     family.require_nonempty()
-    parities = {len(s) % 2 for s in family.members}
-    return len(parities) == 1
+    return len({k % 2 for k in family.cardinalities()}) == 1
 
 
 def rank_gap_check(cmap, family):

@@ -106,7 +106,15 @@ def _assign_corner_faces(dual_ends, rot):
     rotation at v.  Its face must be shared by both bounding edges, and the
     two corners flanking an end must carry the two distinct dual endpoints
     of that end's edge.  Singleton candidate sets seed the assignment,
-    which is then propagated end by end; anything left open is ambiguous.
+    which is then propagated end by end.
+
+    At a vertex of degree 2 whose two ends lie on distinct edges, both
+    corners lie between the same two edges, so which of the two shared
+    faces each one gets is never forced.  Either choice is a local
+    reflection (flip the vertex and the signs of its two edges), which
+    gives an isomorphic map, so when propagation stalls the first open
+    such corner takes the first of its edge's dual endpoints, and
+    propagation goes on.  Anything left open after that is ambiguous.
     """
     candidates = {}
     for v, ends in rot.rotations.items():
@@ -120,6 +128,10 @@ def _assign_corner_faces(dual_ends, rot):
         for i, d in enumerate(ends):
             flank[d] = ((v, (i - 1) % k), (v, i))
 
+    # corners at a vertex of degree 2 on two distinct edges that share two
+    # faces: either face gives an isomorphic map
+    free = [(v, 0) for v, ends in rot.rotations.items()
+            if len(ends) == 2 and ends[0][0] != ends[1][0] and len(candidates[(v, 0)]) == 2]
     assigned = {c: next(iter(cand)) for c, cand in candidates.items() if len(cand) == 1}
     changed = True
     while changed:
@@ -135,6 +147,11 @@ def _assign_corner_faces(dual_ends, rot):
                         )
                     assigned[other] = next(iter(forced))
                     changed = True
+        seed = None if changed else next((c for c in free if c not in assigned), None)
+        if seed is not None:
+            edge = rot.rotations[seed[0]][0][0]
+            assigned[seed] = next(f for f in dual_ends[edge] if f in candidates[seed])
+            changed = True
     if len(assigned) != len(candidates):
         raise AmbiguousGluing(
             "%d corner faces remain undetermined" % (len(candidates) - len(assigned))

@@ -7,7 +7,9 @@ green on edge i + 1) keeps every enumeration reproducible.
 
 The feasible families come from one exhaustive scan of the 2^m masks, made
 by the bit-sliced `kernel.survey_selections`; `MAX_ENUM_EDGES` guards its
-size.  The per-selection functions here (`subgraph_components`,
+size.  The scan's mask lists become families as they are: over the ground
+{1..m}, bit e - 1 is the bit `SetFamily` gives edge e, so no set is built
+per member.  The per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
 time.
 """
@@ -113,8 +115,7 @@ def _scan(cmap, max_edges):
 
 
 def _mask_family(cmap, masks, color=GREEN_PAIR):
-    ground = frozenset(range(1, cmap.n_edges + 1))
-    fam = SetFamily.of(ground, (Selection.from_mask(ground, mask).greens for mask in masks))
+    fam = SetFamily.from_masks(range(1, cmap.n_edges + 1), masks)
     if color == RED_PAIR:
         return fam.complement()
     if color != GREEN_PAIR:

@@ -8,6 +8,8 @@ from mapdelta.cli import main
 from mapdelta.formats import emit_graph, emit_map
 from mapdelta.fixtures import get_fixture
 
+from gridmaps import plane_grid
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -113,6 +115,19 @@ class TestReconstruct:
         dp.write_text(emit_graph(m.dual_graph()))
         code, out, _ = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(dp))
         assert code == 0
+        from mapdelta.formats import parse_map
+        from mapdelta.rebuild import maps_isomorphic
+
+        assert maps_isomorphic(parse_map(out), m)
+
+    def test_plane_grid_reconstruct_emits_valid_map(self, capsys, tmp_path):
+        m = plane_grid(3, 4)
+        gp = tmp_path / "g.graph"
+        dp = tmp_path / "d.graph"
+        gp.write_text(emit_graph(m.underlying_graph()))
+        dp.write_text(emit_graph(m.dual_graph()))
+        code, out, err = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(dp))
+        assert code == 0, err
         from mapdelta.formats import parse_map
         from mapdelta.rebuild import maps_isomorphic
 

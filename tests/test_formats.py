@@ -97,6 +97,13 @@ class TestFamilyFormat:
         with pytest.raises(FormatError):
             parse_family("1,2,3\n")
 
+    def test_bad_element_named_with_its_line(self):
+        fam = parse_family("{ 2 , 10,1}\n{}\n")
+        assert fam.members == (frozenset(), frozenset({1, 2, 10}))
+        for body, token in (("1, x", "'x'"), ("1,,2", "''"), ("1, ,2", "''")):
+            with pytest.raises(FormatError, match="line 2: expected an edge id, got %s" % token):
+                parse_family("{1}\n{%s}\n" % body)
+
 
 # --- fuzz: arbitrary text leaves the parsers only through their documented errors
 

@@ -6,9 +6,11 @@ import pytest
 
 from mapdelta import kernel
 from mapdelta.fixtures import all_fixtures
-from mapdelta.maps import LabeledGraph, from_rotation_system
+from mapdelta.formats import emit_family
 from mapdelta.random_maps import random_corpus
-from mapdelta.selections import MAX_ENUM_EDGES
+from mapdelta.selections import MAX_ENUM_EDGES, feasible_families
+
+from gridmaps import plane_grid
 
 
 def _components(n, partner_lists):
@@ -95,24 +97,6 @@ def scan_args(cmap):
     return cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag
 
 
-def plane_grid(rows, cols):
-    """The rows x cols grid graph with its plane rotation system."""
-    vid = lambda i, j: i * cols + j  # noqa: E731
-    edges, darts = [], {vid(i, j): {} for i in range(rows) for j in range(cols)}
-    for i in range(rows):
-        for j in range(cols):
-            for di, dj, here, there in ((0, 1, "E", "W"), (1, 0, "N", "S")):
-                if i + di < rows and j + dj < cols:
-                    eid = len(edges) + 1
-                    edges.append((eid, vid(i, j), vid(i + di, j + dj)))
-                    darts[vid(i, j)][here] = (eid, 0)
-                    darts[vid(i + di, j + dj)][there] = (eid, 1)
-    name = "grid%dx%d" % (rows, cols)
-    graph = LabeledGraph(name, tuple(range(rows * cols)), tuple(edges))
-    rotations = {v: tuple(d[k] for k in "ENWS" if k in d) for v, d in darts.items()}
-    return from_rotation_system(name, graph, rotations)
-
-
 @pytest.fixture(scope="module")
 def refereed():
     maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
@@ -128,12 +112,22 @@ def test_kernel_matches_referee(refereed, monkeypatch, block):
         assert kernel.survey_selections(*scan_args(cmap)) == expected, cmap.name
 
 
-def test_scan_at_the_edge_guard():
+def test_scan_at_the_edge_guard(monkeypatch):
     """The 4x4 plane grid has m = MAX_ENUM_EDGES; on a plane map both
-    families are the spanning trees, 100,352 of them."""
+    families are the spanning trees, 100,352 of them.  The families are
+    then built from the same mask lists, without a second scan."""
     grid = plane_grid(4, 4)
     assert grid.n_edges == MAX_ENUM_EDGES == 24
     ham, link = kernel.survey_selections(*scan_args(grid))
     assert len(ham) == len(link) == 100_352
     assert ham == link
     assert ham == sorted(set(ham)) and link == sorted(set(link))
+
+    monkeypatch.setattr(kernel, "survey_selections", lambda *args: (ham, link))
+    gamma, k = feasible_families(grid)
+    assert len(gamma) == len(k) == 100_352
+    assert gamma == k and gamma.cardinalities() == [15]
+    lines = emit_family(gamma).splitlines()
+    assert len(lines) == 100_352
+    assert lines[0] == "{1,2,3,4,5,6,7,9,11,13,14,16,18,20,21}"
+    assert lines[-1] == "{2,4,6,7,9,11,13,14,16,18,20,21,22,23,24}"

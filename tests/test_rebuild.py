@@ -5,6 +5,8 @@ from mapdelta.fixtures import get_fixture
 from mapdelta.maps import LabeledGraph
 from mapdelta.rebuild import build_map, maps_isomorphic, recover_rotations, roundtrip_check
 
+from gridmaps import plane_grid
+
 
 class TestRecoverRotations:
     def test_k4_degree_three_rotations(self):
@@ -74,6 +76,16 @@ class TestRoundtrip:
         assert rebuilt.dual_graph().edge_ids == d.edge_ids
         assert len(rebuilt.vertex_cycles) == len(g.vertices)
         assert len(rebuilt.face_cycles) == len(d.vertices)
+
+
+class TestDegreeTwoVertices:
+    """A degree-2 vertex on two distinct edges has both corners between the
+    same two faces; either split gives an isomorphic map.  The 2x2 grid is a
+    4-cycle, every vertex of degree 2."""
+
+    @pytest.mark.parametrize("rows,cols", [(r, c) for r in range(2, 6) for c in range(r, 8)])
+    def test_plane_grid_roundtrips(self, rows, cols):
+        assert roundtrip_check(plane_grid(rows, cols))
 
 
 class TestIsomorphism:

@@ -100,3 +100,19 @@ def test_exchange_failure_is_reported_with_witness(monkeypatch, capsys):
     assert check.detail == report._fmt_witness(witness)
     assert "FAIL gamma-symmetric-exchange  [%s]\n" % check.detail in out
     assert "PASS k-symmetric-exchange\n" in out
+
+
+def test_matroid_details_formatted_only_on_failure(monkeypatch):
+    """A detail shows only on a FAIL line, so a passing map prints no family."""
+    printed = counting(monkeypatch, SetFamily, "__str__")
+    cmap = get_fixture("k5torus")
+    rep = verify_map(cmap)
+    assert rep.all_passed and printed == []
+    assert all(c.detail == "" for c in rep.checks if "matroid" in c.name)
+
+    trees = matroids.spanning_tree_bases(cmap.underlying_graph())
+    wrong = SetFamily.from_masks(trees.ground, trees.masks[1:])
+    monkeypatch.setattr(matroids, "spanning_tree_bases", lambda graph: wrong)
+    out = verify_map(cmap).render()
+    lower = matroids.extremal_matroids(selections.feasible_families(cmap)[0])[0]
+    assert "FAIL lower-is-cycle-matroid  [lower=%s trees=%s]\n" % (lower.bases, wrong) in out
