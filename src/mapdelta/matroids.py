@@ -2,8 +2,11 @@
 
 The exchange checkers are exhaustive over all pairs of members, but run on
 integer bitmasks: each first member's exchange partners are found once, and
-the second members are tested for it together, as bits of one integer.  The
-spanning-tree oracle is brute force over edge subsets.
+the second members are tested for it together, as bits of one integer.  A
+shadow index, built once per family in O(N*m) dict updates, gives each
+(member, element) pair its exchange partners in one lookup.  The
+spanning-tree oracle is brute force over edge subsets, with one union-find
+list per subset.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ def _first_violation(family, x_in_f1):
     that F1 ^ {x, y} is a member, x ranging over F1 ^ F2 (over F1 - F2 when
     x_in_f1), or None.
 
-    Bit i of a mask is the i-th smallest ground element, so ascending bits
-    are ascending elements.  For each F1, cover[x] is the mask of every y
-    with F1 ^ {x, y} a member (y = x included); (F2, x) violates exactly
-    when F2 differs from F1 at x and agrees with it on cover[x].  Bit j of
-    cols[y] tells whether member j holds y, so the members F2 violating at
-    one x are an AND of columns, as the bits of one integer.  The lowest
-    such member over all x, then the lowest x for it, is the first violation.
+    Bit i of a mask is the i-th smallest ground element.  The shadow index
+    maps q to the y with q ^ {y} a member, so shadow[F1 ^ {x}] holds the y
+    with F1 ^ {x, y} a member (bit x is F1 itself).  (F2, x) violates when
+    F2 differs from F1 at x and agrees with it on the rest of that shadow;
+    bit j of cols[y] (ncols[y]) says member j holds (lacks) y, so these F2
+    are an AND of columns.  The lowest over all x, then the lowest x for it,
+    is the first violation: O(N*m) dict work plus the AND chain.
     """
     masks = family.masks
     m = len(family.ground)
@@ -34,25 +37,25 @@ def _first_violation(family, x_in_f1):
     # a leading 1 keeps every row m characters long, m = 0 included
     rows = [format(p | 1 << m, "b")[1:] for p in reversed(masks)]
     cols = [int("".join(col), 2) for col in zip(*rows)][::-1]
-    everyone = (1 << len(masks)) - 1
-    present = set(masks)
+    ncols = [col ^ (1 << len(masks)) - 1 for col in cols]
+    shadow = {}
+    for y in range(m):
+        e = 1 << y
+        for b in masks:
+            q = b ^ e
+            shadow[q] = shadow.get(q, 0) | e
     for a in masks:
-        cover = [0] * m
-        for x in range(m):
-            for y in range(x, m):
-                if a ^ (1 << x | 1 << y) in present:
-                    cover[x] |= 1 << y
-                    cover[y] |= 1 << x
-        same = [cols[y] if a >> y & 1 else everyone ^ cols[y] for y in range(m)]
+        skip = shadow.get(a, 0) | (~a if x_in_f1 else 0)
         first, at = 0, None
         for x in range(m):
-            if cover[x] >> x & 1 or (x_in_f1 and not a >> x & 1):
+            e = 1 << x
+            if skip & e:
                 continue  # F1 ^ {x} is a member, or x is outside the range
-            hits = everyone ^ same[x]
-            rest = cover[x]
+            hits = (ncols if a & e else cols)[x]
+            rest = shadow[a ^ e] ^ e
             while rest and hits:
                 low = rest & -rest
-                hits &= same[low.bit_length() - 1]
+                hits &= (cols if a & low else ncols)[low.bit_length() - 1]
                 rest ^= low
             low = hits & -hits
             if low and (at is None or low < first):
@@ -125,39 +128,33 @@ def lower_matroid(family):
     return extremal_matroids(_require_delta_matroid(family))[0]
 
 
-def _is_spanning_forest(graph, edge_ids, n_vertices):
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    merged = 0
-    lookup = {eid: (u, v) for eid, u, v in graph.edges}
-    for eid in edge_ids:
-        u, v = lookup[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False  # cycle (loops included)
-        parent[ru] = rv
-        merged += 1
-    return merged == n_vertices - 1
-
-
 def spanning_tree_bases(graph):
-    """All spanning trees of a connected multigraph, by exhaustive check."""
+    """All spanning trees of a connected multigraph, by exhaustive check: in
+    a connected graph an acyclic set of |V| - 1 edges is a spanning tree."""
     if not graph.is_connected():
         raise DisconnectedGraph("graph %r is not connected" % (graph.name,))
-    ids = sorted(graph.edge_ids)
-    k = len(graph.vertices) - 1
-    trees = [
-        frozenset(sub)
-        for sub in combinations(ids, k)
-        if _is_spanning_forest(graph, sub, len(graph.vertices))
-    ]
-    return SetFamily.of(ids, trees)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    ends = {eid: (index[u], index[v]) for eid, u, v in graph.edges}
+    ids = sorted(ends)
+    # bit i of a tree's mask is edge ids[i]
+    edges = [(1 << i, *ends[eid]) for i, eid in enumerate(ids)]
+    roots = list(range(len(graph.vertices)))
+    trees = []
+    for sub in combinations(edges, len(graph.vertices) - 1):
+        parent = roots[:]
+        mask = 0
+        for bit, u, v in sub:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break  # a cycle (loops included)
+            parent[u] = v
+            mask |= bit
+        else:
+            trees.append(mask)
+    return SetFamily.from_masks(ids, trees)
 
 
 def cotree_bases(graph):

@@ -223,11 +223,11 @@ def build_map(g, gstar, rot):
     except MapValidationError as exc:
         raise ValidationFailed("rebuilt flag graph is invalid: %s" % exc) from exc
 
-    _check_encodes(cmap, g, gstar, face_of_flag)
+    _check_encodes(cmap, g, gstar, face_of_flag, dual_ends)
     return cmap
 
 
-def _check_encodes(cmap, g, gstar, face_of_flag):
+def _check_encodes(cmap, g, gstar, face_of_flag, dual_ends):
     """The rebuilt map must reproduce g and gstar, edge by edge."""
     vertex_of_end = {}
     for eid, u, v in g.edges:
@@ -255,14 +255,13 @@ def _check_encodes(cmap, g, gstar, face_of_flag):
     if len(set(face_label.values())) != len(gstar.vertices):
         raise ValidationFailed("face count changed in the rebuild")
 
-    dual_ends = _dual_endpoints(gstar)
-    built_g = cmap.underlying_graph()
-    built_d = cmap.dual_graph()
+    built_g = {e: (u, v) for e, u, v in cmap.underlying_graph().edges}
+    built_d = {e: (p, q) for e, p, q in cmap.dual_graph().edges}
     for i, eid in enumerate(ranked):
-        u, v = built_g.endpoints(i + 1)
+        u, v = built_g[i + 1]
         if {vertex_label[u], vertex_label[v]} != {vertex_of_end[(eid, 0)], vertex_of_end[(eid, 1)]}:
             raise ValidationFailed("edge %r has wrong endpoints in the rebuild" % (eid,))
-        p, q = built_d.endpoints(i + 1)
+        p, q = built_d[i + 1]
         if {face_label[p], face_label[q]} != set(dual_ends[eid]):
             raise ValidationFailed("edge %r has wrong dual endpoints in the rebuild" % (eid,))
 

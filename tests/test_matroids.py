@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from mapdelta import (
@@ -15,8 +17,11 @@ from mapdelta import (
     spanning_tree_bases,
     upper_matroid,
 )
-from mapdelta.fixtures import get_fixture
+from mapdelta.fixtures import all_fixtures, get_fixture
+from mapdelta.random_maps import random_corpus
 from mapdelta.selections import enumerate_feasible_gamma
+
+from gridmaps import plane_grid
 
 # feasible-set lists quoted from the shipped FAMILY fixtures
 TWELVE_TRIPLES = [
@@ -96,6 +101,37 @@ class TestUpperLower:
                 assert ok
 
 
+def _is_spanning_forest(graph, edge_ids, n_vertices):
+    parent = {v: v for v in graph.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    merged = 0
+    lookup = {eid: (u, v) for eid, u, v in graph.edges}
+    for eid in edge_ids:
+        u, v = lookup[eid]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False  # cycle (loops included)
+        parent[ru] = rv
+        merged += 1
+    return merged == n_vertices - 1
+
+
+def referee_spanning_tree_bases(graph):
+    """The per-subset oracle spanning_tree_bases replaced: a fresh edge
+    lookup and union-find dict for each subset, and a count of merges."""
+    ids = sorted(graph.edge_ids)
+    k = len(graph.vertices) - 1
+    trees = [frozenset(sub) for sub in combinations(ids, k)
+             if _is_spanning_forest(graph, sub, len(graph.vertices))]
+    return SetFamily.of(ids, trees)
+
+
 def triangle():
     return LabeledGraph("triangle", (0, 1, 2), ((1, 0, 1), (2, 1, 2), (3, 2, 0)))
 
@@ -125,6 +161,12 @@ class TestGraphMatroids:
         cotrees = cotree_bases(g)
         assert len(cotrees) == 125
         assert cotrees.cardinalities() == [6]
+
+    def test_trees_agree_with_referee(self):
+        maps = all_fixtures() + random_corpus(1105, 200, max_edges=7) + [plane_grid(3, 3)]
+        for cmap in maps:
+            for graph in (cmap.underlying_graph(), cmap.dual_graph()):
+                assert spanning_tree_bases(graph) == referee_spanning_tree_bases(graph), graph.name
 
     def test_disconnected_rejected(self):
         g = LabeledGraph("disc", (0, 1, 2), ((1, 0, 1),))

@@ -77,6 +77,19 @@ class TestRoundtrip:
         assert len(rebuilt.vertex_cycles) == len(g.vertices)
         assert len(rebuilt.face_cycles) == len(d.vertices)
 
+    def test_torus_grid_rebuilds_without_endpoint_scans(self, monkeypatch):
+        # LabeledGraph.endpoints scans every edge; checking the rebuild edge
+        # by edge through it would be quadratic in the edge count
+        m = plane_grid(6, 8, torus=True)
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        calls = []
+        scan = LabeledGraph.endpoints
+        monkeypatch.setattr(LabeledGraph, "endpoints", lambda graph, eid: calls.append(eid) or scan(graph, eid))
+        rebuilt = build_map(g, d, rot)
+        assert calls == []
+        assert maps_isomorphic(m, rebuilt)
+
 
 class TestDegreeTwoVertices:
     """A degree-2 vertex on two distinct edges has both corners between the
