@@ -17,11 +17,10 @@ from .errors import (
     MapValidationError,
     ReconstructionError,
 )
-from .families import set_text
 from .fixtures import FIXTURE_BUILDERS, fixture_names, get_fixture
 from .random_maps import DEFAULT_MAX_EDGES, random_corpus
 from .rebuild import build_map, recover_rotations
-from .report import verify_map
+from .report import exchange_verdict, verify_map
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,7 +71,11 @@ def cmd_feasible(args):
 def cmd_matroids(args):
     cmap = _load_map(args.map)
     family = selections.enumerate_feasible_gamma(cmap, max_edges=args.max_edges)
-    lower, upper = matroids.extremal_matroids(matroids._require_delta_matroid(family))
+    ok, detail = exchange_verdict(family)
+    if not ok:
+        print("symmetric exchange fails: %s" % detail)
+        return EXIT_VIOLATION
+    lower, upper = matroids.extremal_matroids(family)
     print("lower rank %d bases %s" % (lower.rank, lower.bases))
     print("upper rank %d bases %s" % (upper.rank, upper.bases))
     return EXIT_OK
@@ -90,13 +93,12 @@ def cmd_check_delta(args):
             family = selections.enumerate_feasible_gamma(formats.parse_map(text), max_edges=args.max_edges)
         else:
             family = formats.parse_family(text)
-    ok, witness = matroids.check_symmetric_exchange(family)
-    if ok:
-        print("symmetric exchange holds (%d sets)" % len(family))
-        return EXIT_OK
-    f1, f2, x = witness
-    print("symmetric exchange fails: F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x))
-    return EXIT_VIOLATION
+    ok, detail = exchange_verdict(family)
+    if not ok:
+        print("symmetric exchange fails: %s" % detail)
+        return EXIT_VIOLATION
+    print("symmetric exchange holds (%d sets)" % len(family))
+    return EXIT_OK
 
 
 def cmd_reconstruct(args):

@@ -1,58 +1,42 @@
 """Canonicalized families of subsets of a ground set, held as integer masks.
 
-A member is an int: bit i stands for the i-th smallest ground element.  For
-the ground {1..m} of a map's edge ids this is the selection mask of the scan
-(bit e - 1 = edge e), so the scan's mask lists become families as they are.
-Frozensets are built only at the edge, where a caller asks for them
-(`members`, iteration, witnesses), and the text form is printed from the
-masks (`texts`).
+A member is an int: of m ground elements the i-th smallest is bit
+m - 1 - i (`bit_order`).  For the ground {1..m} of a map's edge ids this is
+the selection mask of the scan (bit m - e = edge e), so the scan's mask
+lists become families as they are.  Frozensets are built only at the edge,
+where a caller asks for them (`members`, iteration, witnesses), and the
+text form is printed from the masks (`joined`).
 
 Canonical order: by cardinality, then lexicographically by sorted elements.
-For two sets of one size the first element where they differ is the lowest
-bit where their masks differ, and the set holding it comes first: that is
-the descending order of the bit-reversed masks.  So the sort key is
-(popcount, -bitreverse(mask)), packed into one int.
+For two sets of one size the first element where they differ is the
+highest bit where their masks differ, and the set holding it comes first:
+that is the descending order of the masks.  So the sort key is
+(popcount, -mask): two plain int sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, repeat
 from operator import getitem
 
 from .errors import EmptyFamily
 
 
-def _reversed_bytes():
-    """The table of each byte with its 8 bits in reverse order: doubling the
-    table for bit k of b sets bit 7 - k of the entry."""
-    table = [0]
-    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-        table += [t | bit for t in table]
-    return bytes(table)
+def bit_order(ground):
+    """The ground descending: bit x of a member's mask stands for entry x."""
+    return sorted(ground, reverse=True)
 
 
-_REVERSED_BYTE = _reversed_bytes()
+def element_bits(ground):
+    """{element: its bit in a member's mask}."""
+    return {e: 1 << x for x, e in enumerate(bit_order(ground))}
 
 
 def set_text(s):
     """The text form of a set, elements ascending: {1,2,3}, or {}."""
     return "{%s}" % ",".join(str(e) for e in sorted(s))
-
-
-def _canonical_order(masks, m):
-    """The distinct masks (a set) over m bits, in canonical order."""
-    nbytes = (m + 7) // 8
-    width = 8 * nbytes
-    ones = (1 << width) - 1
-    from_bytes = int.from_bytes
-
-    def key(p):
-        # bitreverse(p ^ ones) = ones - bitreverse(p) over `width` bits
-        return p.bit_count() << width | from_bytes((p ^ ones).to_bytes(nbytes, "little")
-                                                   .translate(_REVERSED_BYTE), "big")
-
-    return tuple(sorted(masks, key=key))
 
 
 @dataclass(frozen=True)
@@ -63,21 +47,22 @@ class SetFamily:
     """
 
     ground: frozenset
-    masks: tuple  # of ints, bit i = the i-th smallest ground element; canonically ordered
+    masks: tuple  # of ints, bits as `bit_order` gives them; canonically ordered
 
     @classmethod
     def from_masks(cls, ground, masks):
         ground = frozenset(ground)
-        masks = set(masks)
-        if masks and (min(masks) < 0 or max(masks) >> len(ground)):
+        masks = sorted(set(masks), reverse=True)
+        if masks and (masks[-1] < 0 or masks[0] >> len(ground)):
             raise ValueError("mask with a bit outside the ground set")
-        return cls(ground=ground, masks=_canonical_order(masks, len(ground)))
+        masks.sort(key=int.bit_count)  # stable: canonical order, with no key in Python
+        return cls(ground=ground, masks=tuple(masks))
 
     @classmethod
     def of(cls, ground, sets):
         ground = frozenset(ground)
         sets = [frozenset(s) for s in sets]
-        bit = {e: 1 << i for i, e in enumerate(sorted(ground))}.__getitem__
+        bit = element_bits(ground).__getitem__
         try:
             masks = [sum(map(bit, s)) for s in sets]
         except KeyError:
@@ -86,14 +71,14 @@ class SetFamily:
         return cls.from_masks(ground, masks)
 
     @cached_property
-    def elements(self):
-        """The ground, ascending: element i is bit i of a mask."""
-        return tuple(sorted(self.ground))
+    def by_bit(self):
+        """The ground in bit order: bit x of a mask is by_bit[x]."""
+        return tuple(bit_order(self.ground))
 
     def set_of(self, mask):
-        """The frozenset a mask stands for."""
-        elements = self.elements
-        return frozenset(elements[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        """The frozenset a mask stands for, built in ascending order."""
+        by_bit = self.by_bit
+        return frozenset(by_bit[x] for x in reversed(range(mask.bit_length())) if mask >> x & 1)
 
     @cached_property
     def members(self):
@@ -113,7 +98,7 @@ class SetFamily:
 
     @cached_property
     def _bit(self):
-        return {e: 1 << i for i, e in enumerate(self.elements)}
+        return element_bits(self.ground)
 
     def __contains__(self, s):
         try:
@@ -128,9 +113,10 @@ class SetFamily:
         return frozenset(self.members) <= frozenset(other.members)
 
     def complement(self):
-        """The family of ground-set complements of the members."""
+        """The family of ground-set complements of the members: (size k,
+        mask descending) turns into (size m - k, mask ascending)."""
         full = (1 << len(self.ground)) - 1
-        return SetFamily.from_masks(self.ground, (full ^ p for p in self.masks))
+        return SetFamily(self.ground, tuple(full ^ p for p in reversed(self.masks)))
 
     def cardinalities(self):
         return sorted({p.bit_count() for p in self.masks})
@@ -144,20 +130,29 @@ class SetFamily:
             raise EmptyFamily("family has no member sets")
         return self
 
-    def texts(self):
-        """The text form of each member (as `set_text` gives it), in order.
+    def joined(self, sep):
+        """The members' text forms (as `set_text` gives them) joined by sep.
 
-        Printed from per-byte tables: entry b of table j is ",e,f..." for the
-        elements at the set bits of byte value b in byte j of a mask.
+        One join over the big-endian bytes of all masks: entry b of table j
+        is ",e,f..." for the elements at the set bits of b in byte j, the
+        last table closes a member, and a replace drops its first comma.
         """
-        nbytes = (len(self.elements) + 7) // 8
+        if not self.masks:
+            return ""
+        m = len(self.ground)
+        nbytes = (m + 7) // 8 or 1
+        # with 8 * nbytes - m blanks in front, entry 8j + k is bit 7 - k of byte j
+        chunks = [""] * (8 * nbytes - m) + [",%s" % e for e in reversed(self.by_bit)]
         tables = []
-        for j in range(nbytes):
-            chunk = [",%s" % e for e in self.elements[8 * j:8 * j + 8]]
-            tables.append(["".join([t for k, t in enumerate(chunk) if b >> k & 1]) for b in range(256)])
-        join = "".join
-        return ["{%s}" % join(map(getitem, tables, p.to_bytes(nbytes, "little")))[1:]
-                for p in self.masks]
+        for j in range(0, 8 * nbytes, 8):
+            table = [""]
+            for c in reversed(chunks[j:j + 8]):  # c before the lower bits' elements
+                table += [c + t for t in table]
+            tables.append(table)
+        end = "}%s{" % sep
+        tables[-1] = [t + end for t in tables[-1]]
+        data = b"".join(map(int.to_bytes, self.masks, repeat(nbytes), repeat("big")))
+        return ("{" + "".join(map(getitem, cycle(tables), data))[:1 - len(end)]).replace("{,", "{")
 
     def __str__(self):
-        return "{%s}" % ", ".join(self.texts())
+        return "{%s}" % self.joined(", ")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from .errors import FormatError
-from .families import SetFamily
+from .families import SetFamily, element_bits
 from .maps import LabeledGraph, involution_from_pairs, validate_map
 
 
@@ -127,30 +127,32 @@ def parse_family(text, warn=None):
     Duplicate sets are kept once, with a warning through `warn` (defaults
     to stderr).
     """
-    warn = warn or (lambda msg: print(msg, file=sys.stderr))
-    members = []
-    seen = set()
-    for lineno, line in _lines(text):
-        if not (line.startswith("{") and line.endswith("}")):
+    lines = list(_lines(text))
+    sets = []  # the elements of each line
+    for lineno, line in lines:
+        if line[0] != "{" or line[-1] != "}":
             raise FormatError("expected a set like {1,2,3}, got %r" % line, lineno)
-        body = line[1:-1].strip()
-        if body:
-            try:
-                elems = frozenset(map(int, body.split(",")))
-            except ValueError:  # _int names the token that int() rejects
-                elems = frozenset(_int(t.strip(), lineno, "an edge id") for t in body.split(","))
-        else:
-            elems = frozenset()
-        if elems in seen:
-            warn("line %d: duplicate set %s ignored" % (lineno, line))
-            continue
-        seen.add(elems)
-        members.append(elems)
-    if not members:
+        body = line[1:-1]
+        try:
+            sets.append(set(map(int, body.split(","))) if body.strip() else ())
+        except ValueError:  # _int names the token that int() rejects
+            sets.append({_int(t.strip(), lineno, "an edge id") for t in body.split(",")})
+    if not sets:
         raise FormatError("FAMILY file contains no sets")
-    ground = frozenset().union(*members)
-    return SetFamily.of(ground, members)
+    ground = set().union(*sets)
+    bit = element_bits(ground).__getitem__
+    masks = [sum(map(bit, s)) for s in sets]
+    kept = dict.fromkeys(masks)
+    if len(kept) < len(masks):
+        warn = warn or (lambda msg: print(msg, file=sys.stderr))
+        seen = set()
+        for (lineno, line), p in zip(lines, masks):
+            if p in seen:
+                warn("line %d: duplicate set %s ignored" % (lineno, line))
+            seen.add(p)
+    return SetFamily.from_masks(ground, kept)
 
 
 def emit_family(family):
-    return "".join([t + "\n" for t in family.texts()])
+    text = family.joined("\n")
+    return text + "\n" if text else ""

@@ -1,6 +1,7 @@
 """The selection-scan kernel: all 2^m selections tested at once, bit-sliced.
 
-A selection mask p has bit e - 1 set when the green pair is kept on edge e.
+A selection mask p has bit m - e set when the green pair is kept on edge e,
+the bit `families.bit_order` gives edge e of the ground {1..m}.
 The scan classifies the fully black 2-regular subgraph K of every mask:
 
   * Hamiltonian: K is a single cycle through all flags;
@@ -11,7 +12,8 @@ Instead of looping over the masks, the scan works on Python ints in which
 bit p stands for mask p (bit slicing), so one big-int AND or OR moves a
 whole block of masks through a step of the test:
 
-  * `col[e]` holds the masks that keep the green pair on edge e + 1;
+  * `col[e]` holds the masks that keep the green pair on edge e + 1, that
+    is the column of bit m - 1 - e;
   * Hamiltonicity traces the cycle through flag 0 for every mask at once:
     `at[x]` holds the masks whose trace sits on flag x, and each step sends
     `at[x] & col[e]` along the green edge and the rest along the red one,
@@ -24,8 +26,8 @@ whole block of masks through a step of the test:
     the other masks as arcs.
 
 The masks go through in blocks of BLOCK_MASKS.  Within a block only the low
-edges vary; the column of a higher edge is all ones or all zeros, so memory
-stays bounded for any m the scan accepts.
+bits, those of the highest edges, vary; the column of any other edge is all
+ones or all zeros, so memory stays bounded for any m the scan accepts.
 """
 
 import sys
@@ -68,7 +70,8 @@ def _component_arcs(n, inside, across, edge_of_flag):
 
 
 def _columns(width):
-    """col[e] for e < width over 2^width masks: bit p set iff bit e of p is."""
+    """The column of each bit e < width over 2^width masks: bit p of it is
+    set iff bit e of p is."""
     size = 1 << width
     cols = []
     for e in range(width):
@@ -144,7 +147,8 @@ def survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
     ham_masks = []
     link_masks = []
     for block in range(1 << (m - width)):
-        col = low + [full if (block >> i) & 1 else 0 for i in range(m - width)]
+        # the columns of bits 0..m-1, reversed: col[e - 1] is bit m - e, edge e
+        col = (low + [full if (block >> i) & 1 else 0 for i in range(m - width)])[::-1]
         base = block << width
         _append_bits(ham_masks, _hamiltonian(n, rho_r, rho_g, rho_b, edge_of_flag, col, full), base)
         linked = _connected(arcs_r, col, full)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DisconnectedGraph, NotDeltaMatroid
-from .families import SetFamily
+from .families import SetFamily, element_bits
 
 
 def _first_violation(family, x_in_f1):
@@ -23,13 +23,15 @@ def _first_violation(family, x_in_f1):
     that F1 ^ {x, y} is a member, x ranging over F1 ^ F2 (over F1 - F2 when
     x_in_f1), or None.
 
-    Bit i of a mask is the i-th smallest ground element.  The shadow index
-    maps q to the y with q ^ {y} a member, so shadow[F1 ^ {x}] holds the y
-    with F1 ^ {x, y} a member (bit x is F1 itself).  (F2, x) violates when
-    F2 differs from F1 at x and agrees with it on the rest of that shadow;
-    bit j of cols[y] (ncols[y]) says member j holds (lacks) y, so these F2
-    are an AND of columns.  The lowest over all x, then the lowest x for it,
-    is the first violation: O(N*m) dict work plus the AND chain.
+    Bits stand for ground elements in `bit_order`, the lowest element in
+    the highest bit.  The shadow index maps q to the y with q ^ {y} a
+    member, so shadow[F1 ^ {x}] holds the y with F1 ^ {x, y} a member (bit
+    x is F1 itself).  (F2, x) violates when F2 differs from F1 at x and
+    agrees with it on the rest of that shadow; bit j of cols[y] (ncols[y])
+    says member j holds (lacks) y, so these F2 are an AND of columns.  The
+    lowest over all x, then the lowest element x for it (x walks down from
+    the highest bit), is the first violation: O(N*m) dict work plus the AND
+    chain.
     """
     masks = family.masks
     m = len(family.ground)
@@ -47,7 +49,7 @@ def _first_violation(family, x_in_f1):
     for a in masks:
         skip = shadow.get(a, 0) | (~a if x_in_f1 else 0)
         first, at = 0, None
-        for x in range(m):
+        for x in reversed(range(m)):
             e = 1 << x
             if skip & e:
                 continue  # F1 ^ {x} is a member, or x is outside the range
@@ -61,7 +63,7 @@ def _first_violation(family, x_in_f1):
             if low and (at is None or low < first):
                 first, at = low, x
         if at is not None:
-            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), family.elements[at]
+            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), family.by_bit[at]
     return None
 
 
@@ -136,8 +138,8 @@ def spanning_tree_bases(graph):
     index = {v: i for i, v in enumerate(graph.vertices)}
     ends = {eid: (index[u], index[v]) for eid, u, v in graph.edges}
     ids = sorted(ends)
-    # bit i of a tree's mask is edge ids[i]
-    edges = [(1 << i, *ends[eid]) for i, eid in enumerate(ids)]
+    bit = element_bits(ids)
+    edges = [(bit[eid], *ends[eid]) for eid in ids]
     roots = list(range(len(graph.vertices)))
     trees = []
     for sub in combinations(edges, len(graph.vertices) - 1):

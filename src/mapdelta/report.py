@@ -15,7 +15,7 @@ def _fmt_witness(witness):
     return "F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x)
 
 
-def _exchange(family):
+def exchange_verdict(family):
     """(passed, detail) of the symmetric-exchange check; an empty family fails it."""
     if not family:
         return False, "no feasible sets"
@@ -87,9 +87,9 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         selections.is_fully_black_hamiltonian(cmap, sel) and swaps <= max(initial - 1, 0),
         "%d swaps from %d components" % (swaps, initial))
 
-    gamma_exchange = _exchange(f_gamma)
+    gamma_exchange = exchange_verdict(f_gamma)
     add("gamma-symmetric-exchange", *gamma_exchange)
-    add("k-symmetric-exchange", *(gamma_exchange if f_k == f_gamma else _exchange(f_k)))
+    add("k-symmetric-exchange", *(gamma_exchange if f_k == f_gamma else exchange_verdict(f_k)))
     add("gamma-subfamily-of-k", f_gamma.is_subfamily_of(f_k))
 
     lower_rank = upper_rank = 0

@@ -2,13 +2,13 @@
 
 Every such subgraph keeps all black edges and, on each quadrilateral, either
 its two green or its two red edges.  A selection is encoded by the set of
-green-selected edge ids; iterating selections as m-bit masks (bit i =
-green on edge i + 1) keeps every enumeration reproducible.
+green-selected edge ids; iterating selections as m-bit masks (bit m - e =
+green on edge e) keeps every enumeration reproducible.
 
 The feasible families come from one exhaustive scan of the 2^m masks, made
 by the bit-sliced `kernel.survey_selections`; `MAX_ENUM_EDGES` guards its
 size.  The scan's mask lists become families as they are: over the ground
-{1..m}, bit e - 1 is the bit `SetFamily` gives edge e, so no set is built
+{1..m}, bit m - e is the bit `SetFamily` gives edge e, so no set is built
 per member.  The per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
 time.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import GroundSetTooLarge
-from .families import SetFamily
+from .families import SetFamily, bit_order, element_bits
 
 MAX_ENUM_EDGES = 24
 
@@ -41,14 +41,13 @@ class Selection:
 
     @classmethod
     def from_mask(cls, ground, mask):
-        return cls(frozenset(ground), frozenset(e for e in ground if (mask >> (e - 1)) & 1))
+        """The selection of a mask, its bits in `bit_order` of the ground."""
+        return cls(frozenset(ground), frozenset(e for x, e in enumerate(bit_order(ground)) if mask >> x & 1))
 
     @property
     def mask(self):
-        mask = 0
-        for e in self.greens:
-            mask |= 1 << (e - 1)
-        return mask
+        bit = element_bits(self.ground)
+        return sum(bit[e] for e in self.greens)
 
     def choice(self, edge_id):
         return GREEN_PAIR if edge_id in self.greens else RED_PAIR

@@ -2,9 +2,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import mapdelta
-from mapdelta import matroids
+from mapdelta import kernel, matroids, selections
 from mapdelta.cli import main
+from mapdelta.families import set_text
 from mapdelta.formats import emit_graph, emit_map
 from mapdelta.fixtures import get_fixture
 
@@ -104,6 +107,34 @@ class TestCheckDelta:
         path.write_text(emit_map(get_fixture("loop")))
         code, out, _ = run(capsys, "check-delta", str(path))
         assert code == 0
+
+
+class TestMapFamilyFailingExchange:
+    """With the kernel patched, as in tests/test_report.py, F_gamma of
+    k5torus fails exchange or is empty: both commands that check it leave
+    with exit 2 and one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["matroids", "check-delta"])
+    def test_exchange_failure_exit_2(self, capsys, monkeypatch, command):
+        intact = kernel.survey_selections
+
+        def damaged(*args):  # the first Hamiltonian mask dropped
+            ham_masks, link_masks = intact(*args)
+            return ham_masks[1:], link_masks
+
+        monkeypatch.setattr(kernel, "survey_selections", damaged)
+        ok, (f1, f2, x) = matroids.check_symmetric_exchange(
+            selections.enumerate_feasible_gamma(get_fixture("k5torus")))
+        assert not ok
+        code, out, err = run(capsys, command, "k5torus")
+        assert (code, err) == (2, "")
+        assert out == "symmetric exchange fails: F1=%s F2=%s x=%s\n" % (set_text(f1), set_text(f2), x)
+
+    @pytest.mark.parametrize("command", ["matroids", "check-delta"])
+    def test_empty_family_exit_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(kernel, "survey_selections", lambda *args: ([], []))
+        code, out, err = run(capsys, command, "k5torus")
+        assert (code, out, err) == (2, "symmetric exchange fails: no feasible sets\n", "")
 
 
 class TestReconstruct:

@@ -49,13 +49,14 @@ def referee_first_violation(family, x_in_f1):
     that F1 ^ {x, y} is a member, x ranging over F1 ^ F2 (over F1 - F2 when
     x_in_f1), or None.
 
-    Bit i of a mask is the i-th smallest ground element, so ascending bits
-    are ascending elements.  For each F1, cover[x] is the mask of every y
-    with F1 ^ {x, y} a member (y = x included); (F2, x) violates exactly
-    when F2 differs from F1 at x and agrees with it on cover[x].  Bit j of
-    cols[y] tells whether member j holds y, so the members F2 violating at
-    one x are an AND of columns, as the bits of one integer.  The lowest
-    such member over all x, then the lowest x for it, is the first violation.
+    Bit x of a mask is element m - 1 - x of the sorted ground, so the
+    lowest element is the highest bit.  For each F1, cover[x] is the mask
+    of every y with F1 ^ {x, y} a member (y = x included); (F2, x) violates
+    exactly when F2 differs from F1 at x and agrees with it on cover[x].
+    Bit j of cols[y] tells whether member j holds y, so the members F2
+    violating at one x are an AND of columns, as the bits of one integer.
+    The lowest such member over all x, then the lowest element x for it, is
+    the first violation.
     """
     masks = family.masks
     m = len(family.ground)
@@ -84,10 +85,10 @@ def referee_first_violation(family, x_in_f1):
                 hits &= same[low.bit_length() - 1]
                 rest ^= low
             low = hits & -hits
-            if low and (at is None or low < first):
+            if low and (at is None or (low, m - 1 - x) < (first, m - 1 - at)):
                 first, at = low, x
         if at is not None:
-            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), family.elements[at]
+            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), sorted(family.ground)[m - 1 - at]
     return None
 
 
@@ -134,8 +135,9 @@ def dropped_and_toggled(family):
     lowest element that makes a new set toggled in its middle member."""
     masks = list(family.masks)
     mid = len(masks) // 2
-    toggled = next(masks[mid] ^ 1 << i for i in range(len(family.ground))
-                   if masks[mid] ^ 1 << i not in masks)
+    m = len(family.ground)
+    toggled = next(masks[mid] ^ 1 << (m - 1 - i) for i in range(m)
+                   if masks[mid] ^ 1 << (m - 1 - i) not in masks)
     return [family, SetFamily.from_masks(family.ground, masks[:mid] + masks[mid + 1:]),
             SetFamily.from_masks(family.ground, masks[:mid] + [toggled] + masks[mid + 1:])]
 

@@ -49,7 +49,8 @@ def test_members_and_text_follow_the_model(drawn):
     assert emit_family(fam) == referee_emit(expected)
     assert str(fam) == "{%s}" % ", ".join(referee_set_text(s) for s in expected)
     elements = sorted(ground)
-    masks = [sum(1 << elements.index(e) for e in s) for s in sets]
+    m = len(elements)
+    masks = [sum(1 << (m - 1 - elements.index(e)) for e in s) for s in sets]
     assert SetFamily.from_masks(ground, masks) == fam
 
 

@@ -85,6 +85,14 @@ class TestFamilyFormat:
         assert len(fam) == 1
         assert len(warnings) == 1
 
+    def test_duplicate_in_another_order_warns_with_its_line(self):
+        warnings = []
+        fam = parse_family("{3,1}\n{2}\n# a comment\n{1,3}\n{ 3 , 1 }\n{2,2}\n", warn=warnings.append)
+        assert fam.members == (frozenset({2}), frozenset({1, 3}))
+        assert warnings == ["line 4: duplicate set {1,3} ignored",
+                            "line 5: duplicate set { 3 , 1 } ignored",
+                            "line 6: duplicate set {2,2} ignored"]
+
     def test_emit_is_canonical(self):
         fam = parse_family("{2,1}\n{3}\n{}\n")
         assert emit_family(fam) == "{}\n{3}\n{1,2}\n"

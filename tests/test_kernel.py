@@ -2,6 +2,8 @@
 kept here as a referee: the same Hamiltonian and linkable mask lists,
 element for element, on every map."""
 
+import hashlib
+
 import pytest
 
 from mapdelta import kernel
@@ -43,7 +45,8 @@ def _find(parent, x):
 
 
 def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
-    """Scan all 2^m selections; return (hamiltonian_masks, linkable_masks)."""
+    """Scan all 2^m selections; return (hamiltonian_masks, linkable_masks).
+    Bit m - e of a mask keeps the green pair on edge e."""
     comp_r, ncomp_r = _components(n, (rho_r, rho_b))
     comp_g, ncomp_g = _components(n, (rho_g, rho_b))
 
@@ -55,7 +58,7 @@ def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
         x = 0
         length = 0
         while True:
-            x = rho_g[x] if (mask >> (edge_of_flag[x] - 1)) & 1 else rho_r[x]
+            x = rho_g[x] if (mask >> (m - edge_of_flag[x])) & 1 else rho_r[x]
             x = rho_b[x]
             length += 2
             if x == 0:
@@ -70,7 +73,7 @@ def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
             parent = list(range(ncomp_r))
             left = ncomp_r - 1
             for x in range(n):
-                if (mask >> (edge_of_flag[x] - 1)) & 1:
+                if (mask >> (m - edge_of_flag[x])) & 1:
                     a = _find(parent, comp_r[x])
                     b = _find(parent, comp_r[rho_g[x]])
                     if a != b:
@@ -81,7 +84,7 @@ def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
             parent = list(range(ncomp_g))
             left = ncomp_g - 1
             for x in range(n):
-                if not (mask >> (edge_of_flag[x] - 1)) & 1:
+                if not (mask >> (m - edge_of_flag[x])) & 1:
                     a = _find(parent, comp_g[x])
                     b = _find(parent, comp_g[rho_r[x]])
                     if a != b:
@@ -127,7 +130,10 @@ def test_scan_at_the_edge_guard(monkeypatch):
     gamma, k = feasible_families(grid)
     assert len(gamma) == len(k) == 100_352
     assert gamma == k and gamma.cardinalities() == [15]
-    lines = emit_family(gamma).splitlines()
+    text = emit_family(gamma)
+    lines = text.splitlines()
     assert len(lines) == 100_352
     assert lines[0] == "{1,2,3,4,5,6,7,9,11,13,14,16,18,20,21}"
     assert lines[-1] == "{2,4,6,7,9,11,13,14,16,18,20,21,22,23,24}"
+    # the whole text, so that no middle line can move unnoticed
+    assert hashlib.md5(text.encode()).hexdigest() == "ab6fd86d1cd93a62784ec8e676f506f6"
