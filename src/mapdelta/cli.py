@@ -122,8 +122,11 @@ def cmd_verify_all(args):
         maps = [get_fixture(name) for name in fixture_names()]
     limit = selections.MAX_ENUM_EDGES if args.max_edges is None else args.max_edges
     failed = False
-    for cmap in maps:
-        rep = verify_map(cmap, max_edges=limit)
+    # every map is loaded first, so a bad input fails before any report;
+    # each is dropped once verified, with the scan it keeps
+    maps.reverse()
+    while maps:
+        rep = verify_map(maps.pop(), max_edges=limit)
         sys.stdout.write(rep.render())
         failed = failed or not rep.all_passed
     return EXIT_VIOLATION if failed else EXIT_OK

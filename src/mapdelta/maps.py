@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import kernel
 from .errors import (
     BadQuadrilateral,
     Disconnected,
@@ -84,15 +85,6 @@ class LabeledGraph:
             if e == eid:
                 return (u, v)
         raise KeyError(eid)
-
-    def degree(self, v):
-        d = 0
-        for _, u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
 
     def is_connected(self):
         if not self.vertices:
@@ -169,6 +161,15 @@ class CombinatorialMap:
             for x in quad:
                 owner[x] = i + 1
         return tuple(owner)
+
+    @cached_property
+    def selection_survey(self):
+        """(hamiltonian_masks, linkable_masks): the 2^m selection scan of
+        `kernel.survey_selections`, made once per map, as ascending tuples."""
+        ham, link = kernel.survey_selections(
+            self.n_flags, self.n_edges, self.rho_r, self.rho_g, self.rho_b, self.edge_of_flag
+        )
+        return tuple(ham), tuple(link)
 
     def rho(self, color):
         return {RED: self.rho_r, GREEN: self.rho_g, BLACK: self.rho_b}[color]

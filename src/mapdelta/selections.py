@@ -6,21 +6,23 @@ green-selected edge ids; iterating selections as m-bit masks (bit m - e =
 green on edge e) keeps every enumeration reproducible.
 
 The feasible families come from one exhaustive scan of the 2^m masks, made
-by the bit-sliced `kernel.survey_selections`; `MAX_ENUM_EDGES` guards its
-size.  The scan's mask lists become families as they are: over the ground
-{1..m}, bit m - e is the bit `SetFamily` gives edge e, so no set is built
-per member.  The per-selection functions here (`subgraph_components`,
+by the bit-sliced `kernel.survey_selections` at most once per map: the map
+keeps both mask lists (`CombinatorialMap.selection_survey`), so F_gamma and
+F_K, in either colour and from any entry point, read the same scan.
+`MAX_ENUM_EDGES` guards its size on every call, cached or not.  The scan's
+mask lists become families as they are: over the ground {1..m}, bit m - e is
+the bit `SetFamily` gives edge e, so no set is built per member.  The
+per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
-time.
+time and never read the scan, so they stay an independent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernel
 from .errors import GroundSetTooLarge
-from .families import SetFamily, bit_order, element_bits
+from .families import SetFamily, bit_order
 
 MAX_ENUM_EDGES = 24
 
@@ -43,11 +45,6 @@ class Selection:
     def from_mask(cls, ground, mask):
         """The selection of a mask, its bits in `bit_order` of the ground."""
         return cls(frozenset(ground), frozenset(e for x, e in enumerate(bit_order(ground)) if mask >> x & 1))
-
-    @property
-    def mask(self):
-        bit = element_bits(self.ground)
-        return sum(bit[e] for e in self.greens)
 
     def choice(self, edge_id):
         return GREEN_PAIR if edge_id in self.greens else RED_PAIR
@@ -108,9 +105,7 @@ def _scan(cmap, max_edges):
     m = cmap.n_edges
     if m > max_edges:
         raise GroundSetTooLarge("map has %d edges; refusing to scan 2^%d selections (limit %d)" % (m, m, max_edges))
-    return kernel.survey_selections(
-        cmap.n_flags, m, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag
-    )
+    return cmap.selection_survey
 
 
 def _mask_family(cmap, masks, color=GREEN_PAIR):

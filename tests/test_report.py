@@ -22,13 +22,18 @@ def counting(monkeypatch, module, name):
 
 
 def test_one_scan_and_two_exchange_checks_per_map(monkeypatch):
-    """Two checks where F_K differs from F_gamma, one where it equals it."""
+    """One scan per map object, whichever family entry points ask; two
+    exchange checks where F_K differs from F_gamma, one where it equals it."""
     scans = counting(monkeypatch, kernel, "survey_selections")
     checks = counting(monkeypatch, matroids, "check_symmetric_exchange")
     maps = [m for m in all_fixtures() if m.n_edges <= 6] + random_corpus(7, 10, max_edges=6)
     for cmap in maps:
+        del scans[:]
         f_gamma, f_k = selections.feasible_families(cmap)
-        del scans[:], checks[:]
+        for color in (selections.GREEN_PAIR, selections.RED_PAIR):
+            selections.enumerate_feasible_gamma(cmap, color=color)
+            selections.enumerate_feasible_k(cmap, color=color)
+        del checks[:]
         assert verify_map(cmap).all_passed
         assert len(scans) == 1, cmap.name
         assert len(checks) == (1 if f_k == f_gamma else 2), cmap.name
