@@ -54,7 +54,8 @@ class AmbiguousCorners(ReconstructionError):
 
 
 class AmbiguousGluing(ReconstructionError):
-    """The two faces along some edge coincide; the green matching is not forced."""
+    """Some corner face is not forced, or an edge borders one face on both
+    sides, so the edge's sign is not forced."""
 
 
 class LabelMismatch(ReconstructionError):

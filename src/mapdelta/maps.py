@@ -80,12 +80,6 @@ class LabeledGraph:
     def edge_ids(self):
         return frozenset(eid for eid, _, _ in self.edges)
 
-    def endpoints(self, eid):
-        for e, u, v in self.edges:
-            if e == eid:
-                return (u, v)
-        raise KeyError(eid)
-
     def is_connected(self):
         if not self.vertices:
             return True
@@ -187,9 +181,8 @@ class CombinatorialMap:
     def face_cycles(self):
         return tuple(self.orbit_cycles("GB"))
 
-    def _incidence_graph(self, cycles, matching, suffix):
-        # endpoint of edge e on the side of `matching`: the cycle containing
-        # each matching-edge of quadrilateral e
+    def _incidence_graph(self, cycles, suffix):
+        # the ends of edge e: the cycles that meet quadrilateral e
         owner = {}
         for ci, cyc in enumerate(cycles):
             for x in cyc:
@@ -214,11 +207,11 @@ class CombinatorialMap:
 
     def underlying_graph(self):
         """The encoded graph: red/black cycles as vertices, quads as edges."""
-        return self._incidence_graph(self.vertex_cycles, self.rho_r, ".graph")
+        return self._incidence_graph(self.vertex_cycles, ".graph")
 
     def dual_graph(self):
         """The geometric dual: green/black cycles as vertices, same edges."""
-        return self._incidence_graph(self.face_cycles, self.rho_g, ".dual")
+        return self._incidence_graph(self.face_cycles, ".dual")
 
     def euler_characteristic(self):
         return len(self.vertex_cycles) - self.n_edges + len(self.face_cycles)

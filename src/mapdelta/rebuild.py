@@ -2,14 +2,15 @@
 
 The graphs must share one edge-label set.  Rotations around a vertex are
 recovered from the dual: two edges follow each other in the rotation only
-if they are incident to a common dual vertex (a shared face).  The green
-gluing is then forced by assigning a face to every corner; whenever that
-assignment is not forced, an error is raised instead of guessing.
+if they are incident to a common dual vertex (a shared face).  A face is
+then forced onto every corner; whenever that assignment is not forced, an
+error is raised instead of guessing.  The corner faces give every edge a
+sign (+1 when the edge keeps the face sides, -1 when it twists them), and
+the rotations and signs, a signed rotation system, go to
+`maps.from_rotation_system`, which builds the flag graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     AmbiguousCorners,
@@ -18,20 +19,9 @@ from .errors import (
     MapValidationError,
     ValidationFailed,
 )
-from .maps import validate_map
+from .maps import LabeledGraph, from_rotation_system
 
 # an edge-end is (edge_id, end_index); a loop has ends 0 and 1 at one vertex
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic order of edge-ends around each vertex, up to rotation and
-    reflection."""
-
-    rotations: dict  # vertex -> tuple of edge-ends
-
-    def ends_at(self, v):
-        return self.rotations[v]
 
 
 def _ends_by_vertex(graph):
@@ -56,7 +46,9 @@ def recover_rotations(g, gstar):
     At each vertex the corner graph on its edge-ends (ends adjacent with
     multiplicity = number of shared dual vertices of their edges) must be a
     single cycle; that cycle is the rotation.  Raises AmbiguousCorners
-    otherwise, LabelMismatch if the edge-label sets differ.
+    otherwise, LabelMismatch if the edge-label sets differ.  Returns
+    {vertex: tuple of edge-ends}, each rotation up to rotation and
+    reflection: the form `from_rotation_system` takes.
     """
     if g.edge_ids != gstar.edge_ids:
         raise LabelMismatch(
@@ -96,7 +88,7 @@ def recover_rotations(g, gstar):
         if len(cycle) != k or any(remaining.values()):
             raise AmbiguousCorners("corner graph at vertex %r is not a single cycle" % (v,))
         rotations[v] = tuple(cycle)
-    return RotationSystem(rotations)
+    return rotations
 
 
 def _assign_corner_faces(dual_ends, rot):
@@ -117,20 +109,20 @@ def _assign_corner_faces(dual_ends, rot):
     propagation goes on.  Anything left open after that is ambiguous.
     """
     candidates = {}
-    for v, ends in rot.rotations.items():
+    for v, ends in rot.items():
         k = len(ends)
         for i in range(k):
             a, b = ends[i], ends[(i + 1) % k]
             candidates[(v, i)] = set(_shared_faces(dual_ends, a[0], b[0]))
     flank = {}
-    for v, ends in rot.rotations.items():
+    for v, ends in rot.items():
         k = len(ends)
         for i, d in enumerate(ends):
             flank[d] = ((v, (i - 1) % k), (v, i))
 
     # corners at a vertex of degree 2 on two distinct edges that share two
     # faces: either face gives an isomorphic map
-    free = [(v, 0) for v, ends in rot.rotations.items()
+    free = [(v, 0) for v, ends in rot.items()
             if len(ends) == 2 and ends[0][0] != ends[1][0] and len(candidates[(v, 0)]) == 2]
     assigned = {c: next(iter(cand)) for c, cand in candidates.items() if len(cand) == 1}
     changed = True
@@ -149,7 +141,7 @@ def _assign_corner_faces(dual_ends, rot):
                     changed = True
         seed = None if changed else next((c for c in free if c not in assigned), None)
         if seed is not None:
-            edge = rot.rotations[seed[0]][0][0]
+            edge = rot[seed[0]][0][0]
             assigned[seed] = next(f for f in dual_ends[edge] if f in candidates[seed])
             changed = True
     if len(assigned) != len(candidates):
@@ -165,17 +157,21 @@ def _assign_corner_faces(dual_ends, rot):
 
 
 def build_map(g, gstar, rot):
-    """Rebuild the flag graph from graph, dual, and rotation system.
+    """Rebuild the map from graph, dual, and rotation system.
 
-    Four flags per edge (two per end, one per face side); red joins the two
-    sides of an end, black joins corner-sharing flags, green joins
-    equal-face flags across an edge.  Raises AmbiguousGluing when some edge
-    borders a single face (dual loop) or a corner face is not forced, and
-    ValidationFailed when the glued graph is not a valid map or does not
-    reproduce g and gstar.
+    The two flags of an end carry the faces of the corners before and
+    after it, which are the two distinct dual endpoints of its edge.  The
+    edge's sign is +1 iff flag (edge, end 0, side 0) and flag (edge, end 1,
+    side 1) carry the same face; `from_rotation_system` then glues the flag
+    graph from the rotations and signs.  Raises AmbiguousGluing when some
+    edge borders a single face (dual loop) or a corner face is not forced,
+    and ValidationFailed when the rotations do not cover every end once,
+    the glued graph is not a valid map, or it does not reproduce g and
+    gstar.
 
-    Flags are numbered by (edge rank, end, side), so the rebuilt map's
-    canonical quadrilateral numbering follows the sorted input edge ids.
+    Flags are numbered 4 * edge rank + 2 * end + side over the sorted input
+    edge ids, so the rebuilt map's canonical quadrilateral numbering
+    follows them.
     """
     dual_ends = _dual_endpoints(gstar)
     for eid, (p, q) in dual_ends.items():
@@ -184,43 +180,19 @@ def build_map(g, gstar, rot):
     faces = _assign_corner_faces(dual_ends, rot)
 
     edge_rank = {eid: i for i, eid in enumerate(sorted(g.edge_ids))}
-
-    def flag(d, side):
-        return 4 * edge_rank[d[0]] + 2 * d[1] + side
-
-    n = 4 * len(edge_rank)
-    rho_r = [0] * n
-    rho_g = [0] * n
-    rho_b = [0] * n
-    face_of_flag = [None] * n
-    for v, ends in rot.rotations.items():
+    face_of_flag = [None] * (4 * len(edge_rank))
+    for v, ends in rot.items():
         k = len(ends)
-        for i, d in enumerate(ends):
-            a, b = flag(d, 0), flag(d, 1)
-            rho_r[a], rho_r[b] = b, a
-            face_of_flag[a] = faces[(v, (i - 1) % k)]
-            face_of_flag[b] = faces[(v, i)]
-        for i in range(k):
-            a = flag(ends[i], 1)
-            b = flag(ends[(i + 1) % k], 0)
-            rho_b[a], rho_b[b] = b, a
+        for i, (eid, end) in enumerate(ends):
+            x = 4 * edge_rank[eid] + 2 * end
+            face_of_flag[x] = faces[(v, (i - 1) % k)]
+            face_of_flag[x + 1] = faces[(v, i)]
+    signs = {eid: 1 if face_of_flag[4 * r] == face_of_flag[4 * r + 3] else -1 for eid, r in edge_rank.items()}
 
-    for eid in sorted(g.edge_ids):
-        d0, d1 = (eid, 0), (eid, 1)
-        for side0 in (0, 1):
-            f0 = flag(d0, side0)
-            partners = [
-                flag(d1, side1)
-                for side1 in (0, 1)
-                if face_of_flag[flag(d1, side1)] == face_of_flag[f0]
-            ]
-            if len(partners) != 1:
-                raise AmbiguousGluing("green matching on edge %r is not forced by faces" % (eid,))
-            rho_g[f0], rho_g[partners[0]] = partners[0], f0
-
+    ranked = LabeledGraph(g.name, g.vertices, tuple(sorted(g.edges)))
     try:
-        cmap = validate_map(g.name + ".rebuilt", rho_r, rho_g, rho_b)
-    except MapValidationError as exc:
+        cmap = from_rotation_system(g.name + ".rebuilt", ranked, rot, signs)
+    except (MapValidationError, ValueError) as exc:
         raise ValidationFailed("rebuilt flag graph is invalid: %s" % exc) from exc
 
     _check_encodes(cmap, g, gstar, face_of_flag, dual_ends)

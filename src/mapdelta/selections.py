@@ -14,7 +14,10 @@ mask lists become families as they are: over the ground {1..m}, bit m - e is
 the bit `SetFamily` gives edge e, so no set is built per member.  The
 per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
-time and never read the scan, so they stay an independent path.
+time: they build its chosen-partner array and walk the cycles it makes
+with black through `maps._orbits_of_two_matchings`, the walker that gives
+a map its vertices, edges and faces.  They never read the scan, so they
+stay an independent path.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import GroundSetTooLarge
 from .families import SetFamily, bit_order
+from .maps import _orbits_of_two_matchings
 
 MAX_ENUM_EDGES = 24
 
@@ -60,40 +64,23 @@ def all_green(cmap):
     return Selection(ground, ground)
 
 
-def _chosen_partner(cmap, sel, x):
-    if cmap.edge_of_flag[x] in sel.greens:
-        return cmap.rho_g[x]
-    return cmap.rho_r[x]
+def _chosen_partners(cmap, sel):
+    """Partner array of the chosen pair: green on the edges in sel.greens,
+    red on the others."""
+    return [cmap.rho_g[x] if e in sel.greens else cmap.rho_r[x] for x, e in enumerate(cmap.edge_of_flag)]
 
 
 def selection_subgraph(cmap, sel):
     """Edge list (pairs of flags) of the induced 2-regular subgraph."""
     edges = [(x, y) for x, y in enumerate(cmap.rho_b) if x < y]
-    for x in range(cmap.n_flags):
-        y = _chosen_partner(cmap, sel, x)
-        if x < y:
-            edges.append((x, y))
+    edges += [(x, y) for x, y in enumerate(_chosen_partners(cmap, sel)) if x < y]
     edges.sort()
     return edges
 
 
 def subgraph_components(cmap, sel):
     """Flag cycles of the selection subgraph, smallest-root order."""
-    seen = [False] * cmap.n_flags
-    cycles = []
-    for start in range(cmap.n_flags):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        via_black = False
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = cmap.rho_b[x] if via_black else _chosen_partner(cmap, sel, x)
-            via_black = not via_black
-        cycles.append(tuple(cycle))
-    return cycles
+    return _orbits_of_two_matchings(cmap.n_flags, _chosen_partners(cmap, sel), cmap.rho_b)
 
 
 def is_fully_black_hamiltonian(cmap, sel):

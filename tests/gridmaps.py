@@ -3,20 +3,26 @@
 from mapdelta.maps import LabeledGraph, from_rotation_system
 
 
-def plane_grid(rows, cols, torus=False):
+def plane_grid(rows, cols, torus=False, klein=False):
     """The rows x cols grid graph with its plane rotation system; with
-    torus, the grid whose rows and columns wrap round (rows, cols >= 3)."""
+    torus, the grid whose rows and columns wrap round (rows, cols >= 3);
+    with klein, the row wrap goes from (rows - 1, j) to (0, -j) through a
+    twisted edge, which puts the grid on the Klein bottle."""
     vid = lambda i, j: i % rows * cols + j % cols  # noqa: E731
-    edges, darts = [], {vid(i, j): {} for i in range(rows) for j in range(cols)}
+    edges, darts, signs = [], {vid(i, j): {} for i in range(rows) for j in range(cols)}, {}
     for i in range(rows):
         for j in range(cols):
             for di, dj, here, there in ((0, 1, "E", "W"), (1, 0, "N", "S")):
-                if torus or (i + di < rows and j + dj < cols):
+                if torus or klein or (i + di < rows and j + dj < cols):
                     eid = len(edges) + 1
-                    edges.append((eid, vid(i, j), vid(i + di, j + dj)))
+                    twist = klein and i + di == rows
+                    far = vid(0, -j) if twist else vid(i + di, j + dj)
+                    edges.append((eid, vid(i, j), far))
                     darts[vid(i, j)][here] = (eid, 0)
-                    darts[vid(i + di, j + dj)][there] = (eid, 1)
-    name = "%s%dx%d" % ("torus" if torus else "grid", rows, cols)
+                    darts[far][there] = (eid, 1)
+                    if twist:
+                        signs[eid] = -1
+    name = "%s%dx%d" % ("klein" if klein else "torus" if torus else "grid", rows, cols)
     graph = LabeledGraph(name, tuple(range(rows * cols)), tuple(edges))
     rotations = {v: tuple(d[k] for k in "ENWS" if k in d) for v, d in darts.items()}
-    return from_rotation_system(name, graph, rotations)
+    return from_rotation_system(name, graph, rotations, signs)

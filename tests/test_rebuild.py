@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from mapdelta.errors import AmbiguousCorners, AmbiguousGluing, LabelMismatch, ReconstructionError
 from mapdelta.fixtures import get_fixture
+from mapdelta.formats import emit_map
 from mapdelta.maps import LabeledGraph
 from mapdelta.rebuild import build_map, maps_isomorphic, recover_rotations, roundtrip_check
 
@@ -14,13 +17,13 @@ class TestRecoverRotations:
         g, d = m.underlying_graph(), m.dual_graph()
         rot = recover_rotations(g, d)
         for v in g.vertices:
-            assert len(rot.ends_at(v)) == 3
+            assert len(rot[v]) == 3
 
     def test_k5_degree_four_rotations(self):
         m = get_fixture("k5torus")
         rot = recover_rotations(m.underlying_graph(), m.dual_graph())
         for v in range(5):
-            assert len(rot.ends_at(v)) == 4
+            assert len(rot[v]) == 4
 
     def test_bridge_with_loop_dual_ambiguous(self):
         g = LabeledGraph("bridge", (0, 1), ((1, 0, 1),))
@@ -48,6 +51,14 @@ class TestBuildMap:
         g, d = m.underlying_graph(), m.dual_graph()
         rebuilt = build_map(g, d, recover_rotations(g, d))
         assert rebuilt.euler_characteristic() == 0
+
+    def test_partial_rotation_is_a_reconstruction_error(self):
+        # vertex 0's ends are in no rotation, so they carry no faces
+        m = get_fixture("k5torus")
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = {v: ends for v, ends in recover_rotations(g, d).items() if v != 0}
+        with pytest.raises(ReconstructionError):
+            build_map(g, d, rot)
 
     def test_edge_bordering_one_face_twice_ambiguous(self):
         # loop map: its single edge has a loop in neither graph, but the
@@ -77,18 +88,38 @@ class TestRoundtrip:
         assert len(rebuilt.vertex_cycles) == len(g.vertices)
         assert len(rebuilt.face_cycles) == len(d.vertices)
 
-    def test_torus_grid_rebuilds_without_endpoint_scans(self, monkeypatch):
-        # LabeledGraph.endpoints scans every edge; checking the rebuild edge
-        # by edge through it would be quadratic in the edge count
+    def test_torus_grid_rebuilds_without_endpoint_scans(self):
         m = plane_grid(6, 8, torus=True)
         g, d = m.underlying_graph(), m.dual_graph()
-        rot = recover_rotations(g, d)
-        calls = []
-        scan = LabeledGraph.endpoints
-        monkeypatch.setattr(LabeledGraph, "endpoints", lambda graph, eid: calls.append(eid) or scan(graph, eid))
-        rebuilt = build_map(g, d, rot)
-        assert calls == []
+        rebuilt = build_map(g, d, recover_rotations(g, d))
         assert maps_isomorphic(m, rebuilt)
+
+    @pytest.mark.parametrize("rows,cols", [(r, c) for r in (3, 4) for c in range(r, 6)])
+    def test_klein_grid_roundtrips(self, rows, cols):
+        m = plane_grid(rows, cols, klein=True)
+        assert not m.is_orientable() and m.euler_characteristic() == 0
+        g, d = m.underlying_graph(), m.dual_graph()
+        rebuilt = build_map(g, d, recover_rotations(g, d))
+        assert not rebuilt.is_orientable() and rebuilt.euler_characteristic() == 0
+        assert maps_isomorphic(m, rebuilt)
+
+    # md5 of the emitted rebuilt map: pins the flag numbering and the signs
+    @pytest.mark.parametrize(
+        "rows,cols,surface,digest",
+        [
+            (3, 3, "torus", "6c098b6334c39d2167c20ea8fdc1284a"),
+            (4, 5, "torus", "b8433bb42bdce93494ec95dab2680544"),
+            (6, 8, "torus", "b4f8738c1eacb1f81432f059d7284e7a"),
+            (3, 3, "klein", "0637ff2aa125884868901d4246267481"),
+            (3, 4, "klein", "6de48e5b11373e6c3494afaf1e446a34"),
+            (4, 5, "klein", "75ff270ca1ba2ea373d9d69da24ae60f"),
+        ],
+    )
+    def test_rebuilt_grid_text_is_pinned(self, rows, cols, surface, digest):
+        m = plane_grid(rows, cols, **{surface: True})
+        g, d = m.underlying_graph(), m.dual_graph()
+        text = emit_map(build_map(g, d, recover_rotations(g, d)))
+        assert hashlib.md5(text.encode()).hexdigest() == digest
 
 
 class TestDegreeTwoVertices:
