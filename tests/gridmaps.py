@@ -26,3 +26,15 @@ def plane_grid(rows, cols, torus=False, klein=False):
     graph = LabeledGraph(name, tuple(range(rows * cols)), tuple(edges))
     rotations = {v: tuple(d[k] for k in "ENWS" if k in d) for v, d in darts.items()}
     return from_rotation_system(name, graph, rotations, signs)
+
+
+def wheel(n):
+    """The wheel with hub 0 and rim vertices 1..n (n >= 3), with its plane
+    rotation system: spoke i joins the hub to rim vertex i, rim edge n + i
+    joins rim vertex i to the next one."""
+    edges = [(i, 0, i) for i in range(1, n + 1)] + [(n + i, i, i % n + 1) for i in range(1, n + 1)]
+    graph = LabeledGraph("wheel%d" % n, tuple(range(n + 1)), tuple(edges))
+    rotations = {0: tuple((i, 0) for i in range(1, n + 1))}
+    for i in range(1, n + 1):
+        rotations[i] = ((i, 1), (n + (i - 2) % n + 1, 1), (n + i, 0))
+    return from_rotation_system(graph.name, graph, rotations)

@@ -2,13 +2,20 @@ import hashlib
 
 import pytest
 
-from mapdelta.errors import AmbiguousCorners, AmbiguousGluing, LabelMismatch, ReconstructionError
-from mapdelta.fixtures import get_fixture
+from mapdelta.errors import (
+    AmbiguousCorners,
+    AmbiguousGluing,
+    LabelMismatch,
+    ReconstructionError,
+    ValidationFailed,
+)
+from mapdelta.fixtures import all_fixtures, get_fixture
 from mapdelta.formats import emit_map
 from mapdelta.maps import LabeledGraph
+from mapdelta.random_maps import random_corpus
 from mapdelta.rebuild import build_map, maps_isomorphic, recover_rotations, roundtrip_check
 
-from gridmaps import plane_grid
+from gridmaps import plane_grid, wheel
 
 
 class TestRecoverRotations:
@@ -68,6 +75,16 @@ class TestBuildMap:
         with pytest.raises(ReconstructionError):
             build_map(g, d, recover_rotations(g, d))
 
+    def test_flanking_faces_must_match_the_edge(self):
+        # theta graph against a star dual: every pair of edges shares face
+        # q, so the corner graphs are triangles, but every corner gets q
+        g = LabeledGraph("theta", (0, 1), ((1, 0, 1), (2, 0, 1), (3, 0, 1)))
+        gstar = LabeledGraph("star", ("q", "a", "b", "c"), ((1, "q", "a"), (2, "q", "b"), (3, "q", "c")))
+        rot = recover_rotations(g, gstar)
+        with pytest.raises(ValidationFailed) as exc:
+            build_map(g, gstar, rot)
+        assert str(exc.value) == "faces flanking end (1, 0) do not match the dual endpoints of its edge"
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("name", ["k4sphere", "k5torus", "theta"])
@@ -88,7 +105,7 @@ class TestRoundtrip:
         assert len(rebuilt.vertex_cycles) == len(g.vertices)
         assert len(rebuilt.face_cycles) == len(d.vertices)
 
-    def test_torus_grid_rebuilds_without_endpoint_scans(self):
+    def test_torus_grid_roundtrips(self):
         m = plane_grid(6, 8, torus=True)
         g, d = m.underlying_graph(), m.dual_graph()
         rebuilt = build_map(g, d, recover_rotations(g, d))
@@ -132,6 +149,15 @@ class TestDegreeTwoVertices:
         assert roundtrip_check(plane_grid(rows, cols))
 
 
+class TestHighDegree:
+    def test_wheel_roundtrips(self):
+        m = wheel(300)
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        assert len(rot[0]) == 300
+        assert maps_isomorphic(m, build_map(g, d, rot))
+
+
 class TestIsomorphism:
     def test_map_isomorphic_to_itself(self):
         for name in ("loop", "crosscap", "k4sphere"):
@@ -157,3 +183,90 @@ class TestIsomorphism:
 
         other = validate_map("crosscap2", relabel(m.rho_r), relabel(m.rho_g), relabel(m.rho_b))
         assert maps_isomorphic(m, other)
+
+
+# The all-pairs corner-graph construction, kept as a referee for the
+# face-grouped walk in `recover_rotations`.
+
+
+def _ends_by_vertex(graph):
+    ends = {v: [] for v in graph.vertices}
+    for eid, u, v in graph.edges:
+        ends[u].append((eid, 0))
+        ends[v].append((eid, 1))
+    return ends
+
+
+def _dual_endpoints(gstar):
+    return {eid: (p, q) for eid, p, q in gstar.edges}
+
+
+def _shared_faces(dual_ends, e, f):
+    return set(dual_ends[e]) & set(dual_ends[f])
+
+
+def referee_recover_rotations(g, gstar):
+    if g.edge_ids != gstar.edge_ids:
+        raise LabelMismatch(
+            "graph and dual carry different edge labels: %s vs %s"
+            % (sorted(g.edge_ids), sorted(gstar.edge_ids))
+        )
+    dual_ends = _dual_endpoints(gstar)
+    rotations = {}
+    for v, ends in _ends_by_vertex(g).items():
+        k = len(ends)
+        if k < 2:
+            raise AmbiguousCorners("vertex %r has degree %d; no corner cycle exists" % (v, k))
+        weight = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                a, b = ends[i], ends[j]
+                shared = _shared_faces(dual_ends, a[0], b[0])
+                if shared:
+                    weight[(a, b)] = weight[(b, a)] = len(shared)
+        degree = {a: sum(w for (x, _y), w in weight.items() if x == a) for a in ends}
+        if any(degree[a] != 2 for a in ends):
+            raise AmbiguousCorners("corner graph at vertex %r is not 2-regular" % (v,))
+        # walk the cycle, consuming adjacency multiplicity
+        remaining = dict(weight)
+        cycle = [ends[0]]
+        cur = ends[0]
+        while True:
+            step = next((b for b in ends if remaining.get((cur, b), 0) > 0), None)
+            if step is None:
+                break
+            remaining[(cur, step)] -= 1
+            remaining[(step, cur)] -= 1
+            if step == ends[0]:
+                break
+            cycle.append(step)
+            cur = step
+        if len(cycle) != k or any(remaining.values()):
+            raise AmbiguousCorners("corner graph at vertex %r is not a single cycle" % (v,))
+        rotations[v] = tuple(cycle)
+    return rotations
+
+
+def _outcome(recover, g, gstar):
+    try:
+        return list(recover(g, gstar).items())
+    except ReconstructionError as exc:
+        return type(exc), str(exc)
+
+
+REFEREE_INPUTS = {
+    "fixtures": all_fixtures,
+    "corpus1105": lambda: random_corpus(1105, 200, 7),
+    "corpus77": lambda: random_corpus(77, 400, 12),
+    "plane": lambda: [plane_grid(r, c) for r in range(2, 6) for c in range(r, 8)],
+    "torus": lambda: [plane_grid(r, c, torus=True) for r in range(3, 7) for c in range(r, 9)],
+    "klein": lambda: [plane_grid(r, c, klein=True) for r in range(3, 7) for c in range(r, 9)],
+}
+
+
+class TestReferee:
+    @pytest.mark.parametrize("name", sorted(REFEREE_INPUTS))
+    def test_recover_rotations_agrees_with_referee(self, name):
+        for m in REFEREE_INPUTS[name]():
+            g, d = m.underlying_graph(), m.dual_graph()
+            assert _outcome(recover_rotations, g, d) == _outcome(referee_recover_rotations, g, d), m.name
