@@ -114,6 +114,9 @@ def cmd_verify_all(args):
     maps = [_load_map(m) for m in args.maps]
     if args.random:
         random_edges = DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges
+        if args.random < 0:
+            print("error: --random must be at least 0", file=sys.stderr)
+            return EXIT_INPUT
         if random_edges < 1:
             print("error: --max-edges must be at least 1 for --random maps", file=sys.stderr)
             return EXIT_INPUT

@@ -6,7 +6,9 @@ The scan classifies the fully black 2-regular subgraph K of every mask:
 
   * Hamiltonian: K is a single cycle through all flags;
   * doubly linkable: K + all red edges and K + all green edges are both
-    connected.
+    connected.  The red/black orbits are the vertices of the map's graph G
+    and the green/black orbits those of its dual G*, so this says that the
+    green-selected edges A connect G and E - A connects G*.
 
 Instead of looping over the masks, the scan works on Python ints in which
 bit p stands for mask p (bit slicing), so one big-int AND or OR moves a
@@ -20,10 +22,8 @@ whole block of masks through a step of the test:
     then the black edge.  Masks back at flag 0 before step n/2 close a
     shorter cycle and are dropped; those back at the last step are
     Hamiltonian.
-  * Linkability is reachability from component 0 over the red/black
-    components (the vertices) with the green edges of `col[e]` as arcs,
-    and over the green/black components (the faces) with the red edges of
-    the other masks as arcs.
+  * Linkability is reachability from vertex 0 of G over the edges whose
+    column holds the mask, then from vertex 0 of G* over the other edges.
 
 The masks go through in blocks of BLOCK_MASKS.  Within a block only the low
 bits, those of the highest edges, vary; the column of any other edge is all
@@ -41,32 +41,15 @@ BLOCK_MASKS = 1 << 16  # masks per block; a power of two
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _component_arcs(n, inside, across, edge_of_flag):
-    """Label the components of the flag graph whose edges are the partner
-    arrays `inside`; return, for each component a, the distinct arcs
-    (b, edge bit) by which the partner array `across` joins it to another
-    component b."""
-    label = [-1] * n
-    nlabels = 0
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        label[start] = nlabels
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for partner in inside:
-                y = partner[x]
-                if label[y] == -1:
-                    label[y] = nlabels
-                    stack.append(y)
-        nlabels += 1
-    arcs = [set() for _ in range(nlabels)]
-    for x in range(n):
-        a, b = label[x], label[across[x]]
-        if a != b:
-            arcs[a].add((b, edge_of_flag[x] - 1))
-    return [sorted(out) for out in arcs]
+def _arcs(n_vertices, edges):
+    """For each vertex a of a graph, the arcs (b, edge bit) by which its
+    non-loop edges (e, u, v) join it to another vertex b."""
+    arcs = [[] for _ in range(n_vertices)]
+    for e, u, v in edges:
+        if u != v:
+            arcs[u].append((v, e - 1))
+            arcs[v].append((u, e - 1))
+    return arcs
 
 
 def _columns(width):
@@ -107,8 +90,8 @@ def _hamiltonian(n, rho_r, rho_g, rho_b, edge_of_flag, col, full):
 
 
 def _connected(arcs, gate, masks):
-    """The masks of `masks` for which every component is reachable from
-    component 0 over the arcs (b, e) with the mask in gate[e]."""
+    """The masks of `masks` for which every vertex is reachable from vertex
+    0 over the arcs (b, e) with the mask in gate[e]."""
     reach = [0] * len(arcs)
     reach[0] = masks
     todo = [0]
@@ -134,12 +117,12 @@ def _append_bits(out, x, base):
         out.extend(compress(range(base, base + len(bits)), bits))
 
 
-def survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
+def survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag, graph, dual):
     """Scan all 2^m selections; return (hamiltonian_masks, linkable_masks),
-    each an ascending list."""
-    # green edges join the vertices, red edges join the faces
-    arcs_r = _component_arcs(n, (rho_r, rho_b), rho_g, edge_of_flag)
-    arcs_g = _component_arcs(n, (rho_g, rho_b), rho_r, edge_of_flag)
+    each an ascending list.  A mask is linkable iff its green-selected edges
+    A connect `graph` (G) and E - A connects `dual` (G*)."""
+    arcs_r = _arcs(len(graph.vertices), graph.edges)
+    arcs_g = _arcs(len(dual.vertices), dual.edges)
 
     width = min(m, BLOCK_MASKS.bit_length() - 1)
     full = (1 << (1 << width)) - 1

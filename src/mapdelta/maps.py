@@ -3,11 +3,12 @@
 A map is stored as three fixed-point-free involutions on the flag set
 {0, ..., n-1}.  Red/black orbits are the vertices of the encoded graph,
 red/green orbits its edges (quadrilaterals), green/black orbits its faces.
+Each orbit structure is walked once per map and kept (`cached_property`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernel
@@ -68,6 +69,9 @@ class LabeledGraph:
 
     def __post_init__(self):
         vs = set(self.vertices)
+        if len(vs) < len(self.vertices):
+            twice = next(v for i, v in enumerate(self.vertices) if v in self.vertices[:i])
+            raise ValueError("vertex %r appears twice" % (twice,))
         seen = set()
         for eid, u, v in self.edges:
             if eid in seen:
@@ -120,6 +124,15 @@ def _orbits_of_two_matchings(n, inv_a, inv_b):
     return cycles
 
 
+def _cycle_labels(n, cycles, first=0):
+    """label[x] = first + the index of the cycle holding flag x."""
+    label = [0] * n
+    for i, cyc in enumerate(cycles, first):
+        for x in cyc:
+            label[x] = i
+    return label
+
+
 @dataclass(frozen=True)
 class CombinatorialMap:
     """A validated 3-edge-colored flag graph.
@@ -150,28 +163,22 @@ class CombinatorialMap:
     @cached_property
     def edge_of_flag(self):
         """edge_of_flag[x] = 1-based edge id of the quadrilateral holding x."""
-        owner = [0] * self.n_flags
-        for i, quad in enumerate(self.quadrilaterals):
-            for x in quad:
-                owner[x] = i + 1
-        return tuple(owner)
+        return tuple(_cycle_labels(self.n_flags, self.quadrilaterals, 1))
 
     @cached_property
     def selection_survey(self):
         """(hamiltonian_masks, linkable_masks): the 2^m selection scan of
         `kernel.survey_selections`, made once per map, as ascending tuples."""
         ham, link = kernel.survey_selections(
-            self.n_flags, self.n_edges, self.rho_r, self.rho_g, self.rho_b, self.edge_of_flag
+            self.n_flags, self.n_edges, self.rho_r, self.rho_g, self.rho_b, self.edge_of_flag,
+            self.underlying_graph(), self.dual_graph(),
         )
         return tuple(ham), tuple(link)
 
-    def rho(self, color):
-        return {RED: self.rho_r, GREEN: self.rho_g, BLACK: self.rho_b}[color]
-
     def orbit_cycles(self, colors):
         """Cycles of the union of two color classes; colors like "RB"."""
-        a, b = colors
-        return _orbits_of_two_matchings(self.n_flags, self.rho(a), self.rho(b))
+        rho = {RED: self.rho_r, GREEN: self.rho_g, BLACK: self.rho_b}
+        return _orbits_of_two_matchings(self.n_flags, rho[colors[0]], rho[colors[1]])
 
     @cached_property
     def vertex_cycles(self):
@@ -181,56 +188,61 @@ class CombinatorialMap:
     def face_cycles(self):
         return tuple(self.orbit_cycles("GB"))
 
-    def _incidence_graph(self, cycles, suffix):
-        # the ends of edge e: the cycles that meet quadrilateral e
-        owner = {}
-        for ci, cyc in enumerate(cycles):
-            for x in cyc:
-                owner[x] = ci
+    def _incidence_graph(self, cycles, far, suffix):
+        # edge e joins the cycles holding flags 0 and `far` of quadrilateral e
+        label = _cycle_labels(self.n_flags, cycles)
         edges = []
-        for i, quad in enumerate(self.quadrilaterals):
-            ends = set()
-            for x in quad:
-                ends.add(owner[x])
-            ends = sorted(ends)
-            if len(ends) == 1:
-                edges.append((i + 1, ends[0], ends[0]))
-            elif len(ends) == 2:
-                edges.append((i + 1, ends[0], ends[1]))
-            else:  # impossible for a valid map: a quad meets at most 2 cycles
-                raise AssertionError("quadrilateral %d meets %d cycles" % (i + 1, len(ends)))
-        return LabeledGraph(
-            name=self.name + suffix,
-            vertices=tuple(range(len(cycles))),
-            edges=tuple(edges),
-        )
+        for e, quad in enumerate(self.quadrilaterals, 1):
+            u, v = label[quad[0]], label[quad[far]]
+            edges.append((e, u, v) if u <= v else (e, v, u))
+        return LabeledGraph(self.name + suffix, tuple(range(len(cycles))), tuple(edges))
+
+    @cached_property
+    def _graphs(self):
+        """(underlying graph, dual graph), built once per map.
+
+        In quadrilateral (x, r x, g r x, r g r x), x and r x lie on one end
+        vertex and g r x on the other; x and its green partner r g r x lie
+        on one side face and r x on the other.
+        """
+        return (self._incidence_graph(self.vertex_cycles, 2, ".graph"),
+                self._incidence_graph(self.face_cycles, 1, ".dual"))
 
     def underlying_graph(self):
         """The encoded graph: red/black cycles as vertices, quads as edges."""
-        return self._incidence_graph(self.vertex_cycles, ".graph")
+        return self._graphs[0]
 
     def dual_graph(self):
         """The geometric dual: green/black cycles as vertices, same edges."""
-        return self._incidence_graph(self.face_cycles, ".dual")
+        return self._graphs[1]
 
     def euler_characteristic(self):
         return len(self.vertex_cycles) - self.n_edges + len(self.face_cycles)
 
-    def is_orientable(self):
-        """True iff the flag graph is bipartite (2-colorable)."""
+    @cached_property
+    def _flag_walk(self):
+        """(flags reached from flag 0, bipartite): the one 2-coloring walk
+        of the flag graph, read by validation and by orientability."""
+        rhos = (self.rho_r, self.rho_g, self.rho_b)
         color = [-1] * self.n_flags
         color[0] = 0
         stack = [0]
+        bipartite = True
         while stack:
             x = stack.pop()
-            for rho in (self.rho_r, self.rho_g, self.rho_b):
+            c = 1 - color[x]
+            for rho in rhos:
                 y = rho[x]
                 if color[y] == -1:
-                    color[y] = 1 - color[x]
+                    color[y] = c
                     stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-        return True
+                elif color[y] != c:
+                    bipartite = False
+        return self.n_flags - color.count(-1), bipartite
+
+    def is_orientable(self):
+        """True iff the flag graph is bipartite (2-colorable)."""
+        return self._flag_walk[1]
 
     def flag_edges(self):
         """All edges of the flag graph as (x, y, color) with x < y."""
@@ -240,22 +252,6 @@ class CombinatorialMap:
                 if x < y:
                     out.append((x, y, color))
         return out
-
-
-def _flag_graph_connected(n, rhos):
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for rho in rhos:
-            y = rho[x]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
 
 
 def validate_map(name, rho_r, rho_g, rho_b):
@@ -275,17 +271,18 @@ def validate_map(name, rho_r, rho_g, rho_b):
     for x in range(n):
         if rho_r[x] == rho_g[x]:
             raise RedGreenParallel("flags %d and %d are joined by both red and green" % (x, rho_r[x]))
-    for quad in _orbits_of_two_matchings(n, rho_r, rho_g):
+    cmap = CombinatorialMap(name=name, n_flags=n, rho_r=rho_r, rho_g=rho_g, rho_b=rho_b)
+    for quad in cmap.quadrilaterals:
         if len(quad) != 4:
             raise BadQuadrilateral(
                 "red/green orbit of flag %d has %d flags, expected 4" % (quad[0], len(quad))
             )
-    if not _flag_graph_connected(n, (rho_r, rho_g, rho_b)):
+    if cmap._flag_walk[0] != n:
         raise Disconnected("flag graph is not connected")
     # These axioms already make the flag graph bridgeless: a red or green
     # edge lies on its 4-flag quadrilateral, and a black edge between two
     # quadrilaterals on a red/black cycle of length at least 4.
-    return CombinatorialMap(name=name, n_flags=n, rho_r=rho_r, rho_g=rho_g, rho_b=rho_b)
+    return cmap
 
 
 def from_rotation_system(name, graph, rotations, signs=None):

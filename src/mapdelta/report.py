@@ -116,7 +116,8 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
 
     sizes = f_gamma.cardinalities()
     parities = {k % 2 for k in sizes}
-    if cmap.is_orientable():
+    orientable = cmap.is_orientable()
+    if orientable:
         add("parity-uniform-when-orientable", len(parities) == 1, "cardinalities %s" % sizes)
     else:
         add("both-parities-when-nonorientable", len(parities) == 2, "cardinalities %s" % sizes)
@@ -127,7 +128,7 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         n_vertices=len(cmap.vertex_cycles),
         n_faces=len(cmap.face_cycles),
         euler_characteristic=cmap.euler_characteristic(),
-        orientable=cmap.is_orientable(),
+        orientable=orientable,
         gamma_size=len(f_gamma),
         k_size=len(f_k),
         lower_rank=lower_rank,

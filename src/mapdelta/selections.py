@@ -8,7 +8,10 @@ green on edge e) keeps every enumeration reproducible.
 The feasible families come from one exhaustive scan of the 2^m masks, made
 by the bit-sliced `kernel.survey_selections` at most once per map: the map
 keeps both mask lists (`CombinatorialMap.selection_survey`), so F_gamma and
-F_K, in either colour and from any entry point, read the same scan.
+F_K, in either colour and from any entry point, read the same scan.  The
+scan reads F_K's connectivity off the map's graph G and dual G*: K + red
+and K + green are both connected iff the green-selected edges A connect G
+and E - A connects G*.
 `MAX_ENUM_EDGES` guards its size on every call, cached or not.  The scan's
 mask lists become families as they are: over the ground {1..m}, bit m - e is
 the bit `SetFamily` gives edge e, so no set is built per member.  The
@@ -16,8 +19,8 @@ per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
 time: they build its chosen-partner array and walk the cycles it makes
 with black through `maps._orbits_of_two_matchings`, the walker that gives
-a map its vertices, edges and faces.  They never read the scan, so they
-stay an independent path.
+a map its vertices, edges and faces.  They never read the scan or the
+graphs, so they stay an independent path.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import GroundSetTooLarge
 from .families import SetFamily, bit_order
-from .maps import _orbits_of_two_matchings
+from .maps import _cycle_labels, _orbits_of_two_matchings
 
 MAX_ENUM_EDGES = 24
 
@@ -49,9 +52,6 @@ class Selection:
     def from_mask(cls, ground, mask):
         """The selection of a mask, its bits in `bit_order` of the ground."""
         return cls(frozenset(ground), frozenset(e for x, e in enumerate(bit_order(ground)) if mask >> x & 1))
-
-    def choice(self, edge_id):
-        return GREEN_PAIR if edge_id in self.greens else RED_PAIR
 
     def swap(self, edge_id):
         if edge_id not in self.ground:
@@ -144,12 +144,8 @@ def find_hamiltonian(cmap, with_stats=False):
     initial = len(cycles)
     swaps = 0
     while len(cycles) > 1:
-        comp_of = {}
-        for ci, cyc in enumerate(cycles):
-            for x in cyc:
-                comp_of[x] = ci
-        for i, quad in enumerate(cmap.quadrilaterals):
-            eid = i + 1
+        comp_of = _cycle_labels(cmap.n_flags, cycles)
+        for eid, quad in enumerate(cmap.quadrilaterals, 1):
             # the chosen pair covers all 4 flags of the quad, two per edge;
             # its edges lie in different components iff the quad's flags do
             if len({comp_of[x] for x in quad}) == 2:

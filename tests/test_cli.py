@@ -173,6 +173,12 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(dp))
         assert code == 2 and "Ambiguous" in err
 
+    def test_repeated_vertex_exit_1(self, capsys, tmp_path):
+        gp = tmp_path / "g.graph"
+        gp.write_text("graph g\nvertices 0 0 1\nedge 1 0 1\nedge 2 0 1\n")
+        code, out, err = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(gp))
+        assert (code, out, err) == (1, "", "error: vertex 0 appears twice\n")
+
 
 class TestVerifyAll:
     def test_torus_fixture_report(self, capsys):
@@ -207,6 +213,10 @@ class TestVerifyAll:
         assert code == 0
         counts = self.edge_counts(out)
         assert len(counts) == 20 and max(counts) == 2
+
+    def test_negative_random_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify-all", "--random", "-5")
+        assert (code, out, err) == (1, "", "error: --random must be at least 0\n")
 
     def test_random_maps_need_an_edge(self, capsys):
         code, out, err = run(capsys, "verify-all", "--random", "2", "--max-edges", "0")

@@ -68,6 +68,10 @@ class TestGraphFormat:
             parse_graph("graph g\nvertices 0 1\nedge 1 0\n")
         assert exc.value.line == 3
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(FormatError, match="^vertex 0 appears twice$"):
+            parse_graph("graph g\nvertices 0 0 1\nedge 1 0 1\nedge 2 0 1\n")
+
 
 class TestFamilyFormat:
     def test_braces_lists(self):

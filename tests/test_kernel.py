@@ -1,6 +1,9 @@
 """The bit-sliced selection scan against the per-mask loop it replaced,
 kept here as a referee: the same Hamiltonian and linkable mask lists,
-element for element, on every map."""
+element for element, on every map.  The referee finds linkability on the
+flags, the scan on the map's graph and dual, so the two paths agreeing
+checks that reading too; a per-mask connectivity test of the two graphs
+checks the statement itself."""
 
 import hashlib
 
@@ -9,6 +12,7 @@ import pytest
 from mapdelta import kernel
 from mapdelta.fixtures import all_fixtures
 from mapdelta.formats import emit_family
+from mapdelta.maps import LabeledGraph
 from mapdelta.random_maps import random_corpus
 from mapdelta.selections import MAX_ENUM_EDGES, feasible_families
 
@@ -97,13 +101,31 @@ def referee_survey_selections(n, m, rho_r, rho_g, rho_b, edge_of_flag):
 
 
 def scan_args(cmap):
-    return cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag
+    return (cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag,
+            cmap.underlying_graph(), cmap.dual_graph())
 
 
 @pytest.fixture(scope="module")
 def refereed():
+    """The referee reads the flags only, not the graph and the dual."""
     maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
-    return [(c, referee_survey_selections(*scan_args(c))) for c in maps]
+    return [(c, referee_survey_selections(*scan_args(c)[:6])) for c in maps]
+
+
+def test_linkable_masks_connect_graph_and_dual():
+    """K + red and K + green are both connected iff the green-selected
+    edges A connect the graph G and E - A connects the dual G*."""
+    maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
+    for cmap in maps:
+        g, d, m = cmap.underlying_graph(), cmap.dual_graph(), cmap.n_edges
+        linkable = []
+        for mask in range(1 << m):
+            green = {e for e in range(1, m + 1) if mask >> (m - e) & 1}
+            spanning = LabeledGraph("A", g.vertices, tuple(x for x in g.edges if x[0] in green))
+            cospanning = LabeledGraph("E-A", d.vertices, tuple(x for x in d.edges if x[0] not in green))
+            if spanning.is_connected() and cospanning.is_connected():
+                linkable.append(mask)
+        assert tuple(linkable) == cmap.selection_survey[1], cmap.name
 
 
 @pytest.mark.parametrize("block", [kernel.BLOCK_MASKS, 1 << 3])

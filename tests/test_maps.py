@@ -9,7 +9,12 @@ from mapdelta import (
     validate_map,
 )
 from mapdelta.fixtures import all_fixtures, get_fixture
-from mapdelta.maps import involution_from_pairs
+from mapdelta.formats import emit_graph
+from mapdelta.maps import LabeledGraph, involution_from_pairs
+from mapdelta.random_maps import random_corpus
+from mapdelta.selections import feasible_families
+
+from gridmaps import plane_grid
 
 
 def pairing(n, pairs):
@@ -60,6 +65,16 @@ class TestValidation:
         with pytest.raises(Disconnected):
             validate_map("bad", doubled(loop.rho_r), doubled(loop.rho_g), doubled(loop.rho_b))
 
+    def test_validated_map_keeps_its_quadrilaterals(self):
+        for m in all_fixtures():
+            cmap = validate_map(m.name, m.rho_r, m.rho_g, m.rho_b)
+            assert "quadrilaterals" in vars(cmap)
+            assert cmap.quadrilaterals == tuple(m.orbit_cycles("RG"))
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^vertex 0 appears twice$"):
+            LabeledGraph("g", (0, 0, 1), ((1, 0, 1), (2, 0, 1)))
+
 
 class TestOrbits:
     @pytest.mark.parametrize(
@@ -90,7 +105,57 @@ class TestOrbits:
             assert mins == sorted(mins)
 
 
+def referee_incidence_graph(cmap, cycles, suffix):
+    """The graph and dual made another way, as a referee: an owner dict
+    labels the flags, and edge e joins the set of cycles that quadrilateral
+    e meets."""
+    owner = {}
+    for ci, cyc in enumerate(cycles):
+        for x in cyc:
+            owner[x] = ci
+    edges = []
+    for i, quad in enumerate(cmap.quadrilaterals):
+        ends = set()
+        for x in quad:
+            ends.add(owner[x])
+        ends = sorted(ends)
+        if len(ends) == 1:
+            edges.append((i + 1, ends[0], ends[0]))
+        elif len(ends) == 2:
+            edges.append((i + 1, ends[0], ends[1]))
+        else:  # impossible for a valid map: a quad meets at most 2 cycles
+            raise AssertionError("quadrilateral %d meets %d cycles" % (i + 1, len(ends)))
+    return LabeledGraph(
+        name=cmap.name + suffix,
+        vertices=tuple(range(len(cycles))),
+        edges=tuple(edges),
+    )
+
+
+def grid_maps():
+    """Plane grids, and torus and Klein-bottle grids, of up to 5 x 6 vertices."""
+    maps = [plane_grid(r, c) for r in range(1, 5) for c in range(max(r, 2), 6)]
+    for kind in ("torus", "klein"):
+        maps += [plane_grid(r, c, **{kind: True}) for r in range(3, 6) for c in range(r, 7)]
+    return maps
+
+
 class TestGraphs:
+    def test_graph_and_dual_match_referee(self):
+        maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10) + grid_maps()
+        for m in maps:
+            assert emit_graph(m.underlying_graph()) == emit_graph(
+                referee_incidence_graph(m, m.orbit_cycles("RB"), ".graph")), m.name
+            assert emit_graph(m.dual_graph()) == emit_graph(
+                referee_incidence_graph(m, m.orbit_cycles("GB"), ".dual")), m.name
+
+    def test_graph_and_dual_built_once(self):
+        """After a scan, every call hands out the same two graphs."""
+        for m in all_fixtures():
+            feasible_families(m)
+            assert m.underlying_graph() is m.underlying_graph()
+            assert m.dual_graph() is m.dual_graph()
+
     def test_bridge_graph_and_dual(self):
         m = get_fixture("bridge")
         g = m.underlying_graph()

@@ -78,7 +78,8 @@ def test_exchange_failure_is_reported_with_witness(monkeypatch, capsys):
     F_gamma fails exchange: verify_map reports it and verify-all exits 2."""
     cmap = get_fixture("k5torus")
     intact = kernel.survey_selections
-    ham, _ = intact(cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag)
+    ham, _ = intact(cmap.n_flags, cmap.n_edges, cmap.rho_r, cmap.rho_g, cmap.rho_b, cmap.edge_of_flag,
+                    cmap.underlying_graph(), cmap.dual_graph())
     ground = range(1, cmap.n_edges + 1)
     kept = [Selection.from_mask(ground, mask).greens for mask in ham[1:]]
     ok, witness = matroids.check_symmetric_exchange(SetFamily.of(ground, kept))
