@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success / all properties pass, 1 parse or validation error,
-2 property violation (counterexample printed), 3 enumeration size guard.
+Exit codes: 0 success / all properties pass, 1 parse or validation error or
+bad option value, 2 property violation (counterexample printed), 3
+enumeration size guard.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def cmd_verify_all(args):
 
 def cmd_examples(args):
     if args.action == "list":
+        if args.name is not None:
+            print("error: examples list takes no name", file=sys.stderr)
+            return EXIT_INPUT
         for name in fixture_names():
             print(name)
         return EXIT_OK
@@ -218,6 +222,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "max_edges", None) or 0) < 0:
+        print("error: --max-edges must be at least 0", file=sys.stderr)
+        return EXIT_INPUT
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -28,6 +28,10 @@ class TestBasicCommands:
         for expected in ("loop", "bridge", "crosscap", "theta", "torus1v", "k4sphere", "k5torus"):
             assert expected in names
 
+    def test_examples_list_takes_no_name(self, capsys):
+        code, out, err = run(capsys, "examples", "list", "k5torus")
+        assert (code, out, err) == (1, "", "error: examples list takes no name\n")
+
     def test_examples_show_roundtrips_through_validate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "examples", "show", "loop")
         assert code == 0
@@ -87,6 +91,14 @@ class TestFeasibleAndMatroids:
         code, _, err = run(capsys, "feasible", "--max-edges", "5", "k5torus")
         assert code == 3 and err
 
+    def test_feasible_negative_max_edges_exit_1(self, capsys):
+        code, out, err = run(capsys, "feasible", "--max-edges", "-3", "k5torus")
+        assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
+
+    def test_matroids_negative_max_edges_exit_1(self, capsys):
+        code, out, err = run(capsys, "matroids", "--max-edges", "-3", "k5torus")
+        assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
+
 
 class TestCheckDelta:
     def test_family_violation_exit_2(self, capsys, tmp_path):
@@ -107,6 +119,10 @@ class TestCheckDelta:
         path.write_text(emit_map(get_fixture("loop")))
         code, out, _ = run(capsys, "check-delta", str(path))
         assert code == 0
+
+    def test_negative_max_edges_exit_1(self, capsys):
+        code, out, err = run(capsys, "check-delta", "--max-edges", "-3", "k5torus")
+        assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
 
 
 class TestMapFamilyFailingExchange:
@@ -222,6 +238,10 @@ class TestVerifyAll:
         code, out, err = run(capsys, "verify-all", "--random", "2", "--max-edges", "0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_max_edges_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify-all", "--max-edges", "-3", "k5torus")
+        assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
 
 
 class TestBadInputNoTraceback:

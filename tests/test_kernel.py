@@ -6,6 +6,8 @@ checks that reading too; a per-mask connectivity test of the two graphs
 checks the statement itself."""
 
 import hashlib
+import random
+from itertools import compress
 
 import pytest
 
@@ -13,7 +15,7 @@ from mapdelta import kernel
 from mapdelta.fixtures import all_fixtures
 from mapdelta.formats import emit_family
 from mapdelta.maps import LabeledGraph
-from mapdelta.random_maps import random_corpus
+from mapdelta.random_maps import random_corpus, random_map
 from mapdelta.selections import MAX_ENUM_EDGES, feasible_families
 
 from gridmaps import plane_grid
@@ -159,3 +161,64 @@ def test_scan_at_the_edge_guard(monkeypatch):
     assert lines[-1] == "{2,4,6,7,9,11,13,14,16,18,20,21,22,23,24}"
     # the whole text, so that no middle line can move unnoticed
     assert hashlib.md5(text.encode()).hexdigest() == "ab6fd86d1cd93a62784ec8e676f506f6"
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def referee_append_bits(out, x, base):
+    """`compress` over every bit of x, whatever its density: the kernel's
+    dense walk, kept as the referee for its choice between the two walks."""
+    if x:
+        bits = format(x, "b").encode().translate(_BITS)[::-1]
+        out.extend(compress(range(base, base + len(bits)), bits))
+
+
+def _random_block(rng, length, ones):
+    """An int of bit length `length` with `ones` set bits, the top one among them."""
+    digits = ["0"] * (length - 1)
+    for p in rng.sample(range(length - 1), ones - 1):
+        digits[p] = "1"
+    return int("1" + "".join(digits), 2)
+
+
+def _bit_walk_inputs():
+    rng = random.Random(15)
+    width = kernel.BLOCK_MASKS
+    cases = [("zero", 0, 0), ("bit-0", 1, 0), ("top-bit", 1 << (width - 1), 0),
+             ("full", (1 << width) - 1, 0)]
+    # 4 x set bits just below, at (or just below) and just above the bit
+    # length, where the kernel switches from the sparse walk to the dense one
+    for length in (width, width - 3, 41):
+        quarter = length // 4
+        for ones in (quarter - 1, quarter, quarter + 1):
+            cases.append(("%d-of-%d" % (ones, length), _random_block(rng, length, ones), 0))
+    cases.append(("sparse-based", _random_block(rng, 1000, 30), 5 << 16))
+    cases.append(("dense-based", _random_block(rng, 1000, 900), 5 << 16))
+    return cases
+
+
+@pytest.mark.parametrize("x, base", [pytest.param(x, base, id=name) for name, x, base in _bit_walk_inputs()])
+def test_append_bits_matches_referee(x, base):
+    out = [-1]
+    kernel._append_bits(out, x, base)
+    assert out == [-1] + [base + p for p in range(x.bit_length()) if x >> p & 1]
+
+
+def test_survey_same_under_either_walk(monkeypatch):
+    """The scan's blocks on these maps, 2^14 to 2^16 masks wide, take both
+    walks."""
+    maps = [plane_grid(3, 4)] + [random_map(s, max_edges=16) for s in (10, 0, 6)]
+    blocks = []
+    walk = kernel._append_bits
+
+    def spy(out, x, base):
+        blocks.append(x)
+        walk(out, x, base)
+
+    monkeypatch.setattr(kernel, "_append_bits", spy)
+    fast = [kernel.survey_selections(*scan_args(c)) for c in maps]
+    monkeypatch.setattr(kernel, "_append_bits", referee_append_bits)
+    assert fast == [kernel.survey_selections(*scan_args(c)) for c in maps]
+    sparse = {x.bit_count() * 4 < x.bit_length() for x in blocks}
+    assert sparse == {True, False}
