@@ -84,16 +84,13 @@ def cmd_matroids(args):
 
 def cmd_check_delta(args):
     text = None
-    if args.input in FIXTURE_BUILDERS and not os.path.exists(args.input):
-        family = selections.enumerate_feasible_gamma(get_fixture(args.input), max_edges=args.max_edges)
-    else:
+    if os.path.exists(args.input):
         with open(args.input) as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("map"):
-            family = selections.enumerate_feasible_gamma(formats.parse_map(text), max_edges=args.max_edges)
-        else:
-            family = formats.parse_family(text)
+    if text is None or formats.opens_map(text):
+        family = selections.enumerate_feasible_gamma(_load_map(args.input), max_edges=args.max_edges)
+    else:
+        family = formats.parse_family(text)
     ok, detail = exchange_verdict(family)
     if not ok:
         print("symmetric exchange fails: %s" % detail)
@@ -145,7 +142,7 @@ def cmd_examples(args):
             print(name)
         return EXIT_OK
     if args.name is None:
-        print("examples show requires a fixture name", file=sys.stderr)
+        print("error: examples show requires a fixture name", file=sys.stderr)
         return EXIT_INPUT
     if args.name not in FIXTURE_BUILDERS:
         print("error: unknown fixture %r; known: %s" % (args.name, ", ".join(fixture_names())),

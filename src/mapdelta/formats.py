@@ -32,6 +32,11 @@ def _int(token, lineno, what):
         raise FormatError("expected %s, got %r" % (what, token), lineno) from None
 
 
+def opens_map(text):
+    """True iff the first content line of text opens with 'map', as MAP text does."""
+    return next(_lines(text), (0, ""))[1].startswith("map")
+
+
 def parse_map(text):
     """Parse MAP text and validate it into a CombinatorialMap."""
     lines = list(_lines(text))

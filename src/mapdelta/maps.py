@@ -290,50 +290,43 @@ def from_rotation_system(name, graph, rotations, signs=None):
 
     rotations: {vertex: cyclic tuple of darts}, where a dart is (edge_id, end)
     with end 0/1 distinguishing the two ends of an edge (a loop contributes
-    both darts at its vertex).  signs: {edge_id: +1 | -1}; -1 glues the edge
-    with a twist (flip of face sides).  Every dart must occur exactly once.
+    both darts at its vertex).  signs: {edge_id: +1 | -1}, +1 by default;
+    -1 glues the edge with a twist (flip of face sides).  Every dart must
+    occur exactly once, and every sign must be +1 or -1 on an edge of the
+    graph; ValueError otherwise.
+
+    Flag 4 * i + 2 * end + side lies on dart (edge_id, end) of edge i of
+    graph.edges (counting from 0), on side 0 before the dart in its rotation
+    or side 1 after it; so the map's edge i + 1 is edge i of graph.edges.
     """
     signs = signs or {}
-    darts = []
-    for eid, _u, _v in graph.edges:
-        darts.append((eid, 0))
-        darts.append((eid, 1))
-    position = {}
-    for v, rot in rotations.items():
-        for i, d in enumerate(rot):
-            if d in position:
+    edge_ids = graph.edge_ids
+    for eid, sign in signs.items():
+        if eid not in edge_ids or sign not in (1, -1):
+            raise ValueError("sign %r on edge %r: expected +1 or -1 on an edge of the graph" % (sign, eid))
+    first_flag = {}  # of each dart, on its side 0
+    for i, (eid, _u, _v) in enumerate(graph.edges):
+        first_flag[eid, 0], first_flag[eid, 1] = 4 * i, 4 * i + 2
+    seen = set()
+    for rot in rotations.values():
+        for d in rot:
+            if d in seen:
                 raise ValueError("dart %r occurs twice in the rotation system" % (d,))
-            position[d] = (v, i)
-    missing = [d for d in darts if d not in position]
-    if missing or len(position) != len(darts):
+            seen.add(d)
+    if seen != first_flag.keys():
         raise ValueError("rotation system does not cover the darts exactly once")
 
-    # flags: 2 per dart; flag(d, 0) is the side before d in the rotation,
-    # flag(d, 1) the side after
-    index = {d: 2 * i for i, d in enumerate(darts)}
-
-    def flag(d, side):
-        return index[d] + side
-
-    n = 2 * len(darts)
-    rho_r = [0] * n
-    rho_g = [0] * n
+    n = 4 * len(graph.edges)
     rho_b = [0] * n
-    for d in darts:
-        a, b = flag(d, 0), flag(d, 1)
-        rho_r[a], rho_r[b] = b, a
-    for v, rot in rotations.items():
+    for rot in rotations.values():
         k = len(rot)
         for i in range(k):
-            a = flag(rot[i], 1)
-            b = flag(rot[(i + 1) % k], 0)
+            a = first_flag[rot[i]] + 1
+            b = first_flag[rot[(i + 1) % k]]
             rho_b[a], rho_b[b] = b, a
-    for eid, _u, _v in graph.edges:
-        d0, d1 = (eid, 0), (eid, 1)
-        if signs.get(eid, 1) >= 0:
-            pairs = ((flag(d0, 0), flag(d1, 1)), (flag(d0, 1), flag(d1, 0)))
-        else:
-            pairs = ((flag(d0, 0), flag(d1, 0)), (flag(d0, 1), flag(d1, 1)))
-        for a, b in pairs:
-            rho_g[a], rho_g[b] = b, a
+    # red joins the two sides of a dart; green joins side 0 of end 0 to
+    # side 1 of end 1 (x ^ 3), or to side 0 on a twisted edge (x ^ 2)
+    twisted = [signs.get(eid, 1) == -1 for eid, _u, _v in graph.edges]
+    rho_r = [x ^ 1 for x in range(n)]
+    rho_g = [x ^ (2 if twisted[x >> 2] else 3) for x in range(n)]
     return validate_map(name, rho_r, rho_g, rho_b)

@@ -6,10 +6,10 @@ if they are incident to a common dual vertex (a shared face).  The face of
 each corner is then local: it is the one face that the two edges bounding
 the corner share, read in place, with no propagation between corners;
 where that face is not forced, an error is raised instead of guessing.
-The corner faces give every edge a sign (+1 when the edge keeps the face
-sides, -1 when it twists them), and the rotations and signs, a signed
-rotation system, go to `maps.from_rotation_system`, which builds the flag
-graph.
+The faces of the corners on either side of each end give every edge a
+sign (+1 when the edge keeps the face sides, -1 when it twists them), and
+the rotations and signs, a signed rotation system, go to
+`maps.from_rotation_system`, which glues the flag graph.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def _ends_by_vertex(graph):
     return ends
 
 
+def _check_labels(g, gstar):
+    if g.edge_ids != gstar.edge_ids:
+        raise LabelMismatch(
+            "graph and dual carry different edge labels: %s vs %s"
+            % (sorted(g.edge_ids), sorted(gstar.edge_ids))
+        )
+
+
 def recover_rotations(g, gstar):
     """Recover the rotation system of g from co-incidence in gstar.
 
@@ -47,11 +55,7 @@ def recover_rotations(g, gstar):
     sets differ.  Returns {vertex: tuple of edge-ends}, each rotation up to
     rotation and reflection: the form `from_rotation_system` takes.
     """
-    if g.edge_ids != gstar.edge_ids:
-        raise LabelMismatch(
-            "graph and dual carry different edge labels: %s vs %s"
-            % (sorted(g.edge_ids), sorted(gstar.edge_ids))
-        )
+    _check_labels(g, gstar)
     faces_of = {eid: {p, q} for eid, p, q in gstar.edges}
     rotations = {}
     for v, ends in _ends_by_vertex(g).items():
@@ -89,19 +93,22 @@ def build_map(g, gstar, rot):
     same two faces, and either split is a local reflection (flip the
     vertex and the signs of its two edges) giving an isomorphic map, so
     corner 0 takes its edge's first dual endpoint and corner 1 the other.
-    The two flags of an end carry the faces of the corners before and
-    after it; the edge's sign is +1 iff flag (edge, end 0, side 0) and
-    flag (edge, end 1, side 1) carry the same face.
+    An end's flanks (the faces of the corners before and after it) must be
+    its edge's dual endpoints; the edge's sign is +1 iff the face before
+    end 0 is the face after end 1.  The glued map's edge i is the i-th
+    smallest input edge id, its red/black cycles are the rotations and
+    each green/black cycle lies on one face, so it encodes g and gstar
+    once each rotation holds only ends at its vertex, every vertex of g
+    and gstar has an edge, and it has one face cycle per dual vertex (a
+    count that local corner reading cannot settle).
 
-    Raises AmbiguousGluing when an edge borders one face twice (dual
-    loop), a vertex of degree 2 lies on one loop, or the edges at a corner
-    do not share exactly one face; ValidationFailed when the faces
-    flanking an end are not its edge's dual endpoints, the rotations do
-    not cover every end once, or the glued map is invalid or does not
-    reproduce g and gstar.  Flags are numbered 4 * edge rank + 2 * end +
-    side over the sorted input edge ids, so the rebuilt map's canonical
-    quadrilateral numbering follows them.
+    Raises LabelMismatch if the edge-label sets differ; AmbiguousGluing
+    when an edge borders one face twice (dual loop), a vertex of degree 2
+    lies on one loop, or the edges at a corner do not share exactly one
+    face; ValidationFailed when flanks do not match, the rotations do not
+    cover every end once, or a check above fails.
     """
+    _check_labels(g, gstar)
     dual_ends = {eid: (p, q) for eid, p, q in gstar.edges}
     for eid, (p, q) in dual_ends.items():
         if p == q:
@@ -110,9 +117,7 @@ def build_map(g, gstar, rot):
     if loops:
         raise AmbiguousGluing("%d corner faces remain undetermined" % (2 * loops))
 
-    ranked = sorted(g.edge_ids)
-    edge_rank = {eid: i for i, eid in enumerate(ranked)}
-    face_of_flag = [None] * (4 * len(ranked))
+    flanks = {}
     for v, ends in rot.items():
         if len(ends) == 2:
             corners = dual_ends[ends[0][0]]
@@ -125,15 +130,15 @@ def build_map(g, gstar, rot):
                         "edges %r and %r share %d faces at a corner of vertex %r" % (e, f, len(shared), v)
                     )
                 corners.append(shared.pop())
-        for i, (eid, end) in enumerate(ends):
-            before, after = corners[i - 1], corners[i]
-            if {before, after} != set(dual_ends[eid]):
+        for i, end in enumerate(ends):
+            flanks[end] = corners[i - 1], corners[i]
+            if set(flanks[end]) != set(dual_ends[end[0]]):
                 raise ValidationFailed(
-                    "faces flanking end %r do not match the dual endpoints of its edge" % ((eid, end),)
+                    "faces flanking end %r do not match the dual endpoints of its edge" % (end,)
                 )
-            x = 4 * edge_rank[eid] + 2 * end
-            face_of_flag[x], face_of_flag[x + 1] = before, after
-    signs = {eid: 1 if face_of_flag[4 * r] == face_of_flag[4 * r + 3] else -1 for eid, r in edge_rank.items()}
+    # an edge with an end missing from the rotations gets no sign; from_rotation_system rejects those
+    signs = {eid: 1 if flanks[eid, 0][0] == flanks[eid, 1][1] else -1
+             for eid in dual_ends if (eid, 0) in flanks and (eid, 1) in flanks}
 
     by_rank = LabeledGraph(g.name, g.vertices, tuple(sorted(g.edges)))
     try:
@@ -141,46 +146,18 @@ def build_map(g, gstar, rot):
     except (MapValidationError, ValueError) as exc:
         raise ValidationFailed("rebuilt flag graph is invalid: %s" % exc) from exc
 
-    _check_encodes(cmap, g, gstar, face_of_flag, dual_ends, ranked)
-    return cmap
-
-
-def _check_encodes(cmap, g, gstar, face_of_flag, dual_ends, ranked):
-    """The rebuilt map must reproduce g and gstar, edge by edge."""
-    vertex_of_end = {}
-    for eid, u, v in g.edges:
-        vertex_of_end[(eid, 0)] = u
-        vertex_of_end[(eid, 1)] = v
-
-    def end_of_flag(x):
-        return (ranked[x // 4], (x % 4) // 2)
-
-    vertex_label = {}
-    for ci, cyc in enumerate(cmap.vertex_cycles):
-        vs = {vertex_of_end[end_of_flag(x)] for x in cyc}
-        if len(vs) != 1:
-            raise ValidationFailed("a red/black cycle mixes input vertices")
-        vertex_label[ci] = next(iter(vs))
-    face_label = {}
-    for ci, cyc in enumerate(cmap.face_cycles):
-        fs = {face_of_flag[x] for x in cyc}
-        if len(fs) != 1:
-            raise ValidationFailed("a green/black cycle mixes input faces")
-        face_label[ci] = next(iter(fs))
-    if len(set(vertex_label.values())) != len(g.vertices):
+    # from_rotation_system has rejected any end that is repeated, missing or not of g
+    at = {end: v for v, ends in _ends_by_vertex(g).items() for end in ends}
+    for v, ends in rot.items():
+        for end in ends:
+            if at[end] != v:
+                raise ValidationFailed("end %r in the rotation at vertex %r is at vertex %r" % (end, v, at[end]))
+    if len(set(at.values())) != len(g.vertices):
         raise ValidationFailed("vertex count changed in the rebuild")
-    if len(set(face_label.values())) != len(gstar.vertices):
+    faces = {f for ends in dual_ends.values() for f in ends}
+    if len(faces) != len(gstar.vertices) or len(cmap.face_cycles) != len(faces):
         raise ValidationFailed("face count changed in the rebuild")
-
-    built_g = {e: (u, v) for e, u, v in cmap.underlying_graph().edges}
-    built_d = {e: (p, q) for e, p, q in cmap.dual_graph().edges}
-    for i, eid in enumerate(ranked):
-        u, v = built_g[i + 1]
-        if {vertex_label[u], vertex_label[v]} != {vertex_of_end[(eid, 0)], vertex_of_end[(eid, 1)]}:
-            raise ValidationFailed("edge %r has wrong endpoints in the rebuild" % (eid,))
-        p, q = built_d[i + 1]
-        if {face_label[p], face_label[q]} != set(dual_ends[eid]):
-            raise ValidationFailed("edge %r has wrong dual endpoints in the rebuild" % (eid,))
+    return cmap
 
 
 def maps_isomorphic(a, b):

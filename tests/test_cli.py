@@ -32,6 +32,10 @@ class TestBasicCommands:
         code, out, err = run(capsys, "examples", "list", "k5torus")
         assert (code, out, err) == (1, "", "error: examples list takes no name\n")
 
+    def test_examples_show_needs_a_name(self, capsys):
+        code, out, err = run(capsys, "examples", "show")
+        assert (code, out, err) == (1, "", "error: examples show requires a fixture name\n")
+
     def test_examples_show_roundtrips_through_validate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "examples", "show", "loop")
         assert code == 0
@@ -120,6 +124,13 @@ class TestCheckDelta:
         code, out, _ = run(capsys, "check-delta", str(path))
         assert code == 0
 
+    def test_map_opening_with_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "torus1v.map"
+        path.write_text("# one vertex on the torus\n" + emit_map(get_fixture("torus1v")))
+        assert run(capsys, "validate", str(path))[0] == 0
+        code, out, err = run(capsys, "check-delta", str(path))
+        assert (code, out, err) == (0, "symmetric exchange holds (2 sets)\n", "")
+
     def test_negative_max_edges_exit_1(self, capsys):
         code, out, err = run(capsys, "check-delta", "--max-edges", "-3", "k5torus")
         assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
@@ -188,6 +199,15 @@ class TestReconstruct:
         dp.write_text(emit_graph(m.dual_graph()))
         code, _, err = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(dp))
         assert code == 2 and "Ambiguous" in err
+
+    def test_isolated_dual_vertex_exit_2(self, capsys, tmp_path):
+        m = get_fixture("k4sphere")
+        gp = tmp_path / "g.graph"
+        dp = tmp_path / "d.graph"
+        gp.write_text(emit_graph(m.underlying_graph()))
+        dp.write_text(emit_graph(m.dual_graph()).replace("vertices 0 1 2 3", "vertices 0 1 2 3 lonely"))
+        code, out, err = run(capsys, "reconstruct", "--graph", str(gp), "--dual", str(dp))
+        assert (code, out, err) == (2, "", "error: ValidationFailed: face count changed in the rebuild\n")
 
     def test_repeated_vertex_exit_1(self, capsys, tmp_path):
         gp = tmp_path / "g.graph"

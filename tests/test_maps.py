@@ -10,7 +10,7 @@ from mapdelta import (
 )
 from mapdelta.fixtures import all_fixtures, get_fixture
 from mapdelta.formats import emit_graph
-from mapdelta.maps import LabeledGraph, involution_from_pairs
+from mapdelta.maps import LabeledGraph, from_rotation_system, involution_from_pairs
 from mapdelta.random_maps import random_corpus
 from mapdelta.selections import feasible_families
 
@@ -70,6 +70,14 @@ class TestValidation:
             cmap = validate_map(m.name, m.rho_r, m.rho_g, m.rho_b)
             assert "quadrilaterals" in vars(cmap)
             assert cmap.quadrilaterals == tuple(m.orbit_cycles("RG"))
+
+    @pytest.mark.parametrize("signs,edge", [({1: 0}, 1), ({2: 7}, 2), ({1: -1, 3: -1}, 3)])
+    def test_rotation_system_signs_are_checked(self, signs, edge):
+        g = LabeledGraph("digon", (0, 1), ((1, 0, 1), (2, 0, 1)))
+        rotations = {0: ((1, 0), (2, 0)), 1: ((1, 1), (2, 1))}
+        assert from_rotation_system("digon", g, rotations, {1: -1, 2: 1}).n_edges == 2
+        with pytest.raises(ValueError, match="^sign %r on edge %d: expected " % (signs[edge], edge)):
+            from_rotation_system("digon", g, rotations, signs)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError, match="^vertex 0 appears twice$"):

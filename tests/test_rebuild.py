@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -6,12 +7,13 @@ from mapdelta.errors import (
     AmbiguousCorners,
     AmbiguousGluing,
     LabelMismatch,
+    MapValidationError,
     ReconstructionError,
     ValidationFailed,
 )
 from mapdelta.fixtures import all_fixtures, get_fixture
 from mapdelta.formats import emit_map
-from mapdelta.maps import LabeledGraph
+from mapdelta.maps import LabeledGraph, from_rotation_system
 from mapdelta.random_maps import random_corpus
 from mapdelta.rebuild import build_map, maps_isomorphic, recover_rotations, roundtrip_check
 
@@ -66,6 +68,8 @@ class TestBuildMap:
         rot = {v: ends for v, ends in recover_rotations(g, d).items() if v != 0}
         with pytest.raises(ReconstructionError):
             build_map(g, d, rot)
+        assert _built(build_map, g, d, rot) == (
+            ValidationFailed, "rebuilt flag graph is invalid: rotation system does not cover the darts exactly once")
 
     def test_edge_bordering_one_face_twice_ambiguous(self):
         # loop map: its single edge has a loop in neither graph, but the
@@ -84,6 +88,50 @@ class TestBuildMap:
         with pytest.raises(ValidationFailed) as exc:
             build_map(g, gstar, rot)
         assert str(exc.value) == "faces flanking end (1, 0) do not match the dual endpoints of its edge"
+
+
+    def test_label_mismatch(self):
+        m = get_fixture("k4sphere")
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        renamed = LabeledGraph(d.name, d.vertices, tuple((e + 10, p, q) for e, p, q in d.edges))
+        with pytest.raises(LabelMismatch):
+            build_map(g, renamed, rot)
+
+    def test_rotation_filed_under_another_vertex(self):
+        # each of theta's two rotations under the other vertex's key
+        m = get_fixture("theta")
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        swapped = {0: rot[1], 1: rot[0]}
+        assert _built(build_map, g, d, swapped) == (
+            ValidationFailed, "end %r in the rotation at vertex 0 is at vertex 1" % (rot[1][0],))
+        assert_agrees_with_referee(g, d, swapped)
+
+    def test_isolated_vertex(self):
+        m = get_fixture("k4sphere")
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        lonely_g = LabeledGraph(g.name, g.vertices + ("lonely",), g.edges)
+        lonely_d = LabeledGraph(d.name, d.vertices + ("lonely",), d.edges)
+        assert _built(build_map, lonely_g, d, rot) == (ValidationFailed, "vertex count changed in the rebuild")
+        assert _built(build_map, g, lonely_d, rot) == (ValidationFailed, "face count changed in the rebuild")
+
+    def test_faces_merged_in_the_dual(self):
+        # two faces of the torus grid that share no vertex, as one dual
+        # vertex: every corner still reads one face, but the glued map
+        # has one face more than the dual has vertices
+        m = plane_grid(6, 8, torus=True)
+        g, d = m.underlying_graph(), m.dual_graph()
+        faces_of = {e: {p, q} for e, p, q in d.edges}
+        faces_at = {v: set().union(*(faces_of[e] for e, _ in ends)) for v, ends in _ends_by_vertex(g).items()}
+        far = next(f for f in d.vertices if not any({0, f} <= faces for faces in faces_at.values()))
+        merged = LabeledGraph(d.name, d.vertices[1:], tuple(
+            (e, far if p == 0 else p, far if q == 0 else q) for e, p, q in d.edges))
+        rot = recover_rotations(g, merged)
+        assert _built(build_map, g, merged, rot) == (ValidationFailed, "face count changed in the rebuild")
+        # the referee compared face labels, which the merge keeps
+        assert isinstance(_built(referee_build_map, g, merged, rot), str)
 
 
 class TestRoundtrip:
@@ -270,3 +318,217 @@ class TestReferee:
         for m in REFEREE_INPUTS[name]():
             g, d = m.underlying_graph(), m.dual_graph()
             assert _outcome(recover_rotations, g, d) == _outcome(referee_recover_rotations, g, d), m.name
+
+
+# The glue-then-compare `build_map`, kept as a referee for the checks on the
+# inputs that replaced its comparison: it re-derives the glued map's vertex
+# and face labels and both graphs and compares them with g and gstar.
+
+
+def referee_build_map(g, gstar, rot):
+    """Rebuild the map from graph, dual, and rotation system.
+
+    Corner i at a vertex lies between the ends at positions i and i + 1 of
+    its rotation, and its face is read in place: at a vertex of degree
+    other than 2 it is the one face the two ends' edges share.  At a
+    vertex of degree 2 on two distinct edges both corners lie between the
+    same two faces, and either split is a local reflection (flip the
+    vertex and the signs of its two edges) giving an isomorphic map, so
+    corner 0 takes its edge's first dual endpoint and corner 1 the other.
+    The two flags of an end carry the faces of the corners before and
+    after it; the edge's sign is +1 iff flag (edge, end 0, side 0) and
+    flag (edge, end 1, side 1) carry the same face.
+
+    Raises AmbiguousGluing when an edge borders one face twice (dual
+    loop), a vertex of degree 2 lies on one loop, or the edges at a corner
+    do not share exactly one face; ValidationFailed when the faces
+    flanking an end are not its edge's dual endpoints, the rotations do
+    not cover every end once, or the glued map is invalid or does not
+    reproduce g and gstar.  Flags are numbered 4 * edge rank + 2 * end +
+    side over the sorted input edge ids, so the rebuilt map's canonical
+    quadrilateral numbering follows them.
+    """
+    dual_ends = {eid: (p, q) for eid, p, q in gstar.edges}
+    for eid, (p, q) in dual_ends.items():
+        if p == q:
+            raise AmbiguousGluing("edge %r borders one face twice (dual loop)" % (eid,))
+    loops = sum(len(ends) == 2 and ends[0][0] == ends[1][0] for ends in rot.values())
+    if loops:
+        raise AmbiguousGluing("%d corner faces remain undetermined" % (2 * loops))
+
+    ranked = sorted(g.edge_ids)
+    edge_rank = {eid: i for i, eid in enumerate(ranked)}
+    face_of_flag = [None] * (4 * len(ranked))
+    for v, ends in rot.items():
+        if len(ends) == 2:
+            corners = dual_ends[ends[0][0]]
+        else:
+            corners = []
+            for (e, _), (f, _) in zip(ends, ends[1:] + ends[:1]):
+                shared = set(dual_ends[e]).intersection(dual_ends[f])
+                if len(shared) != 1:
+                    raise AmbiguousGluing(
+                        "edges %r and %r share %d faces at a corner of vertex %r" % (e, f, len(shared), v)
+                    )
+                corners.append(shared.pop())
+        for i, (eid, end) in enumerate(ends):
+            before, after = corners[i - 1], corners[i]
+            if {before, after} != set(dual_ends[eid]):
+                raise ValidationFailed(
+                    "faces flanking end %r do not match the dual endpoints of its edge" % ((eid, end),)
+                )
+            x = 4 * edge_rank[eid] + 2 * end
+            face_of_flag[x], face_of_flag[x + 1] = before, after
+    signs = {eid: 1 if face_of_flag[4 * r] == face_of_flag[4 * r + 3] else -1 for eid, r in edge_rank.items()}
+
+    by_rank = LabeledGraph(g.name, g.vertices, tuple(sorted(g.edges)))
+    try:
+        cmap = from_rotation_system(g.name + ".rebuilt", by_rank, rot, signs)
+    except (MapValidationError, ValueError) as exc:
+        raise ValidationFailed("rebuilt flag graph is invalid: %s" % exc) from exc
+
+    _check_encodes(cmap, g, gstar, face_of_flag, dual_ends, ranked)
+    return cmap
+
+
+def _check_encodes(cmap, g, gstar, face_of_flag, dual_ends, ranked):
+    """The rebuilt map must reproduce g and gstar, edge by edge."""
+    vertex_of_end = {}
+    for eid, u, v in g.edges:
+        vertex_of_end[(eid, 0)] = u
+        vertex_of_end[(eid, 1)] = v
+
+    def end_of_flag(x):
+        return (ranked[x // 4], (x % 4) // 2)
+
+    vertex_label = {}
+    for ci, cyc in enumerate(cmap.vertex_cycles):
+        vs = {vertex_of_end[end_of_flag(x)] for x in cyc}
+        if len(vs) != 1:
+            raise ValidationFailed("a red/black cycle mixes input vertices")
+        vertex_label[ci] = next(iter(vs))
+    face_label = {}
+    for ci, cyc in enumerate(cmap.face_cycles):
+        fs = {face_of_flag[x] for x in cyc}
+        if len(fs) != 1:
+            raise ValidationFailed("a green/black cycle mixes input faces")
+        face_label[ci] = next(iter(fs))
+    if len(set(vertex_label.values())) != len(g.vertices):
+        raise ValidationFailed("vertex count changed in the rebuild")
+    if len(set(face_label.values())) != len(gstar.vertices):
+        raise ValidationFailed("face count changed in the rebuild")
+
+    built_g = {e: (u, v) for e, u, v in cmap.underlying_graph().edges}
+    built_d = {e: (p, q) for e, p, q in cmap.dual_graph().edges}
+    for i, eid in enumerate(ranked):
+        u, v = built_g[i + 1]
+        if {vertex_label[u], vertex_label[v]} != {vertex_of_end[(eid, 0)], vertex_of_end[(eid, 1)]}:
+            raise ValidationFailed("edge %r has wrong endpoints in the rebuild" % (eid,))
+        p, q = built_d[i + 1]
+        if {face_label[p], face_label[q]} != set(dual_ends[eid]):
+            raise ValidationFailed("edge %r has wrong dual endpoints in the rebuild" % (eid,))
+
+
+
+def true_rotations(cmap):
+    """The rotation system of cmap itself, on the ends of its own graph.
+    Quadrilateral (x, r x, g r x, r g r x) of edge e has one end on its
+    first two flags and the other on the rest; end 0 is the one at the
+    smaller vertex, as in `underlying_graph`.  Each red/black cycle, rooted
+    with a red step, meets one end on every other flag."""
+    vertex = {x: v for v, cyc in enumerate(cmap.vertex_cycles) for x in cyc}
+    end_of = {}
+    for e, (a, b, c, d) in enumerate(cmap.quadrilaterals, 1):
+        flip = int(vertex[a] > vertex[c])
+        end_of[a] = end_of[b] = (e, flip)
+        end_of[c] = end_of[d] = (e, 1 - flip)
+    return {v: tuple(end_of[x] for x in cyc[::2]) for v, cyc in enumerate(cmap.vertex_cycles)}
+
+
+def perturbed(rng, rot):
+    """rot after one or two random edits: an end swapped between two
+    vertices, a vertex dropped, an end repeated (inserted, or written over
+    another end), a rotation shuffled or reversed, or an extra empty key."""
+    rot = {v: list(ends) for v, ends in rot.items()}
+    for _ in range(rng.choice((1, 1, 2))):
+        kind = rng.choice(("swap", "drop", "repeat", "shuffle", "reverse", "empty"))
+        keys = [v for v in rot if rot[v]]
+        if not keys:
+            break
+        if kind == "swap" and len(keys) > 1:
+            u, v = rng.sample(keys, 2)
+            i, j = rng.randrange(len(rot[u])), rng.randrange(len(rot[v]))
+            rot[u][i], rot[v][j] = rot[v][j], rot[u][i]
+        elif kind == "drop":
+            del rot[rng.choice(keys)]
+        elif kind == "repeat":
+            end, ends = rng.choice(rot[rng.choice(keys)]), rot[rng.choice(keys)]
+            if rng.random() < 0.5:
+                ends.insert(rng.randrange(len(ends) + 1), end)
+            else:
+                ends[rng.randrange(len(ends))] = end
+        elif kind == "shuffle":
+            rng.shuffle(rot[rng.choice(keys)])
+        elif kind == "reverse":
+            rot[rng.choice(keys)].reverse()
+        elif kind == "empty":
+            rot["extra%d" % len(rot)] = []
+    return {v: tuple(ends) for v, ends in rot.items()}
+
+
+def _built(build, g, gstar, rot):
+    try:
+        return emit_map(build(g, gstar, rot))
+    except Exception as exc:  # the referee also fails with KeyError and the like
+        return type(exc), str(exc)
+
+
+def assert_agrees_with_referee(g, gstar, rot):
+    """Same text, or same exception and message, but for two differences.
+    Where the referee found a red/black cycle mixing input vertices,
+    build_map names the end off its vertex.  Where every rotation lies at
+    one vertex but some under another vertex's key, the referee, which
+    never read the keys, rebuilt the map; build_map refuses, and gives the
+    referee's map once each rotation is filed under its own vertex."""
+    ours, theirs = _built(build_map, g, gstar, rot), _built(referee_build_map, g, gstar, rot)
+    if ours == theirs:
+        return
+    assert ours[0] is ValidationFailed and " in the rotation at vertex " in ours[1], (ours, theirs)
+    if theirs != (ValidationFailed, "a red/black cycle mixes input vertices"):
+        at = {end: v for v, ends in _ends_by_vertex(g).items() for end in ends}
+        homes = {v: {at[end] for end in ends} for v, ends in rot.items() if ends}
+        assert all(len(home) == 1 for home in homes.values()), (ours, theirs)
+        refiled = {home.pop(): rot[v] for v, home in homes.items()}
+        assert _built(build_map, g, gstar, refiled) == theirs
+
+
+def rotation_systems(maps):
+    """(g, gstar, rotations) for the recovered and the true rotations of
+    each map, where recover_rotations succeeds, and the true ones otherwise."""
+    for m in maps:
+        g, d = m.underlying_graph(), m.dual_graph()
+        try:
+            yield g, d, recover_rotations(g, d)
+        except ReconstructionError:
+            pass
+        yield g, d, true_rotations(m)
+
+
+PERTURBED = 10_000
+PERTURBED_MAX_EDGES = 24  # larger maps are compared unperturbed, to keep the run short
+
+
+class TestBuildMapReferee:
+    @pytest.mark.parametrize("name", sorted(REFEREE_INPUTS))
+    def test_agrees_with_referee(self, name):
+        for g, d, rot in rotation_systems(REFEREE_INPUTS[name]()):
+            assert_agrees_with_referee(g, d, rot)
+
+    def test_agrees_with_referee_on_perturbed_rotations(self):
+        maps = [m for name in sorted(REFEREE_INPUTS) for m in REFEREE_INPUTS[name]()]
+        bases = [(g, d, rot) for g, d, rot in rotation_systems(maps)
+                 if len(g.edges) <= PERTURBED_MAX_EDGES and isinstance(_built(referee_build_map, g, d, rot), str)]
+        rng = random.Random(20)
+        for i in range(PERTURBED):
+            g, d, rot = bases[i % len(bases)]
+            assert_agrees_with_referee(g, d, perturbed(rng, rot))

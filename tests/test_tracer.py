@@ -2,7 +2,10 @@
 mapdelta modules: every function it wraps is found under the name it
 expects, the wrapped program still sees every real scan, and removing the
 tracer puts each original back.  A renamed target would otherwise show only
-as a crashed traced benchmark run."""
+as a crashed traced benchmark run.  Likewise the benchmark runner
+(perfbench/run.py) still imports the modules it names and reads the
+attributes it records about the kernel, which it does only at the end of
+a run."""
 
 import importlib
 import importlib.util
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+RUNNER = TRACER.parent / "run.py"
 MODULES = ("maps", "kernel", "selections", "families", "matroids", "rebuild",
            "formats", "report", "cli", "fixtures", "random_maps")
 
@@ -35,11 +39,29 @@ def fresh_modules():
         sys.modules.update(saved)
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+@pytest.fixture
+def restored_imports():
+    """sys.modules and sys.path as they were before the test, afterwards:
+    the runner adds perfbench/ to the path and imports mapdelta afresh."""
+    modules, path = dict(sys.modules), list(sys.path)
+    try:
+        yield
+    finally:
+        sys.path[:] = path
+        for name in [n for n in sys.modules if n not in modules]:
+            del sys.modules[name]
+        sys.modules.update(modules)
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load(TRACER, "perfbench_tracer")
 
 
 def bound(modules, module, attr):
@@ -72,3 +94,14 @@ def test_tracer_installs_and_removes(fresh_modules):
     assert metrics["kernel.scan_calls"] == (1, "count")
     assert metrics["kernel.masks"] == (1 << cmap.n_edges, "count")
     assert metrics["matroids.sym_exchange_calls"][0] >= 1
+
+
+def test_runner_imports_and_reads_the_kernel(restored_imports):
+    import mapdelta
+
+    run = load(RUNNER, "perfbench_run")
+    md = run.Program()
+    assert sorted(md.modules) == sorted(run.MODULES)
+    env = run.environment(md)
+    assert env["kernel"] and isinstance(env["kernel_compiled"], bool)
+    assert sys.modules["mapdelta"] is not mapdelta  # the runner's own fresh import
