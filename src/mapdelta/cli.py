@@ -21,7 +21,7 @@ from .errors import (
 from .fixtures import FIXTURE_BUILDERS, fixture_names, get_fixture
 from .random_maps import DEFAULT_MAX_EDGES, random_corpus
 from .rebuild import build_map, recover_rotations
-from .report import exchange_verdict, verify_map
+from .report import certified_verdict, exchange_verdict, verify_map
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,7 +72,7 @@ def cmd_feasible(args):
 def cmd_matroids(args):
     cmap = _load_map(args.map)
     family = selections.enumerate_feasible_gamma(cmap, max_edges=args.max_edges)
-    ok, detail = exchange_verdict(family)
+    ok, detail = certified_verdict(family)
     if not ok:
         print("symmetric exchange fails: %s" % detail)
         return EXIT_VIOLATION

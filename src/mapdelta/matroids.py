@@ -7,6 +7,12 @@ shadow index, built once per family in O(N*m) dict updates, gives each
 (member, element) pair its exchange partners in one lookup.  The
 spanning-tree oracle is brute force over edge subsets, with one union-find
 list per subset.
+
+`binary_certificate` proves exchange instead from a symmetric GF(2) matrix
+read off the family in O(m^2) lookups.  `report.verify_map` and the
+`matroids` command ask it first, since a map's families are binary as a
+rule, and fall back to the exhaustive checkers, which give every verdict
+and witness, where it proves nothing.
 """
 
 from __future__ import annotations
@@ -93,6 +99,56 @@ def check_basis_exchange(family):
     # this is symmetric exchange with x restricted to B1 - B2
     witness = _first_violation(family, x_in_f1=True)
     return witness is None, witness
+
+
+def binary_certificate(family):
+    """True if a GF(2) matrix read off the family proves symmetric exchange;
+    False proves nothing.
+
+    With T the first member, M[x][x] = [T ^ {x} in F] and M[x][y] =
+    [T ^ {x, y} in F] xor M[x][x]·M[y][y]: the one symmetric matrix whose
+    principal minors of size 1 and 2 agree with F at base T.  R = {T ^ Z :
+    M[Z] nonsingular} is a delta-matroid (Bouchet, 1987), so R = F proves
+    exchange.  R is listed in ascending mask order, deciding bit x from the
+    top down, and merged against the sorted members.  Z leaves x out (the
+    rows stay), or takes it in by a principal pivot: on {x} when M[x][x] = 1
+    (a Schur step), else on {x, y} for a y with M[x][y] = 1, which flips y
+    in the twist S (output = S ^ Z on the undecided bits).  Rows keep stale
+    bits above the undecided ones.
+    """
+    masks = family.masks
+    if not masks:
+        return False
+    t, members = masks[0], frozenset(masks)
+    diag = [t ^ 1 << x in members for x in range(len(family.ground))]
+    rows = [sum((dx if x == y else (t ^ 1 << x ^ 1 << y in members) ^ (dx and dy)) << y
+                for y, dy in enumerate(diag)) for x, dx in enumerate(diag)]
+    expected = iter(sorted(masks))
+    stack = [(len(diag), rows, t, 0)]  # (undecided bits below x, rows, S, output decided)
+    while stack:
+        x, rows, s, out = stack.pop()
+        while x:
+            x -= 1
+            bit = 1 << x
+            keep = x, rows, s, out | s & bit
+            row = rows[x] & (bit << 1) - 1
+            if row:
+                if row & bit:
+                    rows = [r ^ row if r & bit else r for r in rows[:x]]
+                else:
+                    low = row & -row
+                    y = low.bit_length() - 1
+                    pivot = rows[y] ^ row if rows[y] & low else rows[y]
+                    rows = [((r ^ pivot if r & bit else r) ^ (row if r & low else 0)) & ~low
+                            | (low if r & bit else 0) for r in rows[:x]]
+                    rows[y], s = row ^ low, s ^ low
+                take = x, rows, s, out | ~s & bit
+                keep, take = (take, keep) if s & bit else (keep, take)
+                stack.append(take)
+            x, rows, s, out = keep
+        if next(expected, None) != out:
+            return False
+    return next(expected, None) is None
 
 
 @dataclass(frozen=True)

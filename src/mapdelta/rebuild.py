@@ -105,14 +105,19 @@ def build_map(g, gstar, rot):
     Raises LabelMismatch if the edge-label sets differ; AmbiguousGluing
     when an edge borders one face twice (dual loop), a vertex of degree 2
     lies on one loop, or the edges at a corner do not share exactly one
-    face; ValidationFailed when flanks do not match, the rotations do not
-    cover every end once, or a check above fails.
+    face; ValidationFailed when a rotation names an edge neither graph has,
+    flanks do not match, the rotations do not cover every end once, or a
+    check above fails.
     """
     _check_labels(g, gstar)
     dual_ends = {eid: (p, q) for eid, p, q in gstar.edges}
     for eid, (p, q) in dual_ends.items():
         if p == q:
             raise AmbiguousGluing("edge %r borders one face twice (dual loop)" % (eid,))
+    for v, ends in rot.items():
+        for end in ends:
+            if end[0] not in dual_ends:
+                raise ValidationFailed("end %r in the rotation at vertex %r names no edge" % (end, v))
     loops = sum(len(ends) == 2 and ends[0][0] == ends[1][0] for ends in rot.values())
     if loops:
         raise AmbiguousGluing("%d corner faces remain undetermined" % (2 * loops))

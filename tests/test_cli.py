@@ -82,14 +82,20 @@ class TestFeasibleAndMatroids:
         assert "lower rank 0" in out and "upper rank 2" in out
 
     def test_matroids_checks_exchange_once(self, capsys, monkeypatch):
-        calls = []
-        check = matroids.check_symmetric_exchange
+        """One check: the certificate, then the exhaustive checker only where
+        the certificate proves nothing (forced on the second run)."""
+        certs, calls = [], []
+        certify, check = matroids.binary_certificate, matroids.check_symmetric_exchange
+        monkeypatch.setattr(matroids, "binary_certificate", lambda f: certs.append(f) or certify(f))
         monkeypatch.setattr(matroids, "check_symmetric_exchange", lambda f: calls.append(f) or check(f))
         code, out, _ = run(capsys, "matroids", "k4sphere")
         bases = ("{{1,2,3}, {1,2,5}, {1,2,6}, {1,3,4}, {1,3,6}, {1,4,5}, {1,4,6}, {1,5,6}, "
                  "{2,3,4}, {2,3,5}, {2,4,5}, {2,4,6}, {2,5,6}, {3,4,5}, {3,4,6}, {3,5,6}}")
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(certs) == 1 and calls == []
         assert out == "lower rank 3 bases %s\nupper rank 3 bases %s\n" % (bases, bases)
+        monkeypatch.setattr(matroids, "binary_certificate", lambda f: certs.append(f) and False)
+        assert run(capsys, "matroids", "k4sphere")[:2] == (0, out)
+        assert len(certs) == 2 and len(calls) == 1
 
     def test_size_guard_exit_3(self, capsys):
         code, _, err = run(capsys, "feasible", "--max-edges", "5", "k5torus")

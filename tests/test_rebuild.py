@@ -108,6 +108,14 @@ class TestBuildMap:
             ValidationFailed, "end %r in the rotation at vertex 0 is at vertex 1" % (rot[1][0],))
         assert_agrees_with_referee(g, d, swapped)
 
+    def test_rotation_names_an_unknown_edge(self):
+        m = get_fixture("k4sphere")
+        g, d = m.underlying_graph(), m.dual_graph()
+        rot = recover_rotations(g, d)
+        rot[0] += ((99, 0),)
+        assert _built(build_map, g, d, rot) == (
+            ValidationFailed, "end (99, 0) in the rotation at vertex 0 names no edge")
+
     def test_isolated_vertex(self):
         m = get_fixture("k4sphere")
         g, d = m.underlying_graph(), m.dual_graph()
