@@ -2,10 +2,13 @@
 
 A member is an int: of m ground elements the i-th smallest is bit
 m - 1 - i (`bit_order`).  For the ground {1..m} of a map's edge ids this is
-the selection mask of the scan (bit m - e = edge e), so the scan's mask
-lists become families as they are.  Frozensets are built only at the edge,
-where a caller asks for them (`members`, iteration, witnesses), and the
-text form is printed from the masks (`joined`).
+the selection mask of the scan (bit m - e = edge e), so the scan's masks
+become members as they are.  `from_masks` deduplicates, sorts and
+range-checks masks from outside; the scan, whose masks are distinct and
+ascending, builds its families directly.  Frozensets are built only at the
+edge, where a caller asks for them (`members`, iteration, witnesses), and
+the text form is printed from one packed buffer of the masks (`joined`),
+with no object per member.
 
 Canonical order: by cardinality, then lexicographically by sorted elements.
 For two sets of one size the first element where they differ is the
@@ -16,12 +19,16 @@ that is the descending order of the masks.  So the sort key is
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, repeat
+from itertools import compress, cycle, repeat
 from operator import getitem
 
 from .errors import EmptyFamily
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a bit string to compress selectors
+_PACKED = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # struct codes of 1, 2, 4 and 8 bytes
 
 
 def bit_order(ground):
@@ -75,10 +82,15 @@ class SetFamily:
         """The ground in bit order: bit x of a mask is by_bit[x]."""
         return tuple(bit_order(self.ground))
 
+    @cached_property
+    def _ascending(self):
+        return self.by_bit[::-1]
+
     def set_of(self, mask):
-        """The frozenset a mask stands for, built in ascending order."""
-        by_bit = self.by_bit
-        return frozenset(by_bit[x] for x in reversed(range(mask.bit_length())) if mask >> x & 1)
+        """The frozenset a mask stands for, built in ascending order: its bit
+        string, highest bit first, selects from the elements ascending."""
+        bits = format(mask, "b").encode().translate(_BITS)
+        return frozenset(compress(self._ascending[len(self.by_bit) - len(bits):], bits))
 
     @cached_property
     def members(self):
@@ -130,29 +142,36 @@ class SetFamily:
             raise EmptyFamily("family has no member sets")
         return self
 
-    def joined(self, sep):
-        """The members' text forms (as `set_text` gives them) joined by sep.
+    def joined(self, sep, end=""):
+        """The members' text forms (as `set_text` gives them) joined by sep,
+        with end after the last one.
 
         One join over the big-endian bytes of all masks: entry b of table j
         is ",e,f..." for the elements at the set bits of b in byte j, the
-        last table closes a member, and a replace drops its first comma.
+        first table opens a member with "{", the last closes it with "}" and
+        sep, and a replace drops each member's first comma.  Up to m = 64
+        the masks are packed into one buffer, 1, 2, 4 or 8 bytes each, by
+        one `struct.pack`; only a wider ground turns each mask into bytes
+        of its own.
         """
-        if not self.masks:
-            return ""
         m = len(self.ground)
-        nbytes = (m + 7) // 8 or 1
+        nbytes, code = next(((w, c) for w, c in _PACKED if 8 * w >= m), ((m + 7) // 8, None))
+        if code:
+            data = struct.pack(">%d%s" % (len(self.masks), code), *self.masks)
+        else:  # only FAMILY input has a ground this wide
+            data = b"".join(map(int.to_bytes, self.masks, repeat(nbytes), repeat("big")))
         # with 8 * nbytes - m blanks in front, entry 8j + k is bit 7 - k of byte j
-        chunks = [""] * (8 * nbytes - m) + [",%s" % e for e in reversed(self.by_bit)]
+        chunks = [""] * (8 * nbytes - m) + [",%s" % e for e in self._ascending]
         tables = []
         for j in range(0, 8 * nbytes, 8):
             table = [""]
             for c in reversed(chunks[j:j + 8]):  # c before the lower bits' elements
                 table += [c + t for t in table]
             tables.append(table)
-        end = "}%s{" % sep
-        tables[-1] = [t + end for t in tables[-1]]
-        data = b"".join(map(int.to_bytes, self.masks, repeat(nbytes), repeat("big")))
-        return ("{" + "".join(map(getitem, cycle(tables), data))[:1 - len(end)]).replace("{,", "{")
+        tables[0] = ["{" + t for t in tables[0]]
+        tables[-1] = [t + "}" + sep for t in tables[-1]]
+        text = "".join(map(getitem, cycle(tables), data)).replace("{,", "{")
+        return text if end == sep or not text else text[:len(text) - len(sep)] + end
 
     def __str__(self):
         return "{%s}" % self.joined(", ")

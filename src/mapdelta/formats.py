@@ -3,7 +3,9 @@
 
 MAP:   ``map <name>`` / ``flags <n>`` / three lines ``R: a-b c-d ...``.
 GRAPH: ``graph <name>`` / ``vertices v1 v2 ...`` / ``edge <id> <u> <v>``.
-FAMILY: one set per line, ``{1,2,3}`` or ``{}`` for the empty set.
+FAMILY: one set per line, ``{1,2,3}`` or ``{}`` for the empty set.  It is
+read with one int() per distinct token and printed from the masks by
+`SetFamily.joined`, without a set or a string per member.
 
 Parsing is whitespace-tolerant; emitting canonicalizes pair and set order,
 so emit(parse(text)) is the canonical form of text.
@@ -12,6 +14,9 @@ so emit(parse(text)) is the canonical form of text.
 from __future__ import annotations
 
 import sys
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from .errors import FormatError
 from .families import SetFamily, element_bits
@@ -130,23 +135,27 @@ def parse_family(text, warn=None):
     """Parse a FAMILY file; ground set is the union of the members.
 
     Duplicate sets are kept once, with a warning through `warn` (defaults
-    to stderr).
+    to stderr).  Each distinct token goes through int() once, and a line's
+    mask is the sum of its tokens' bits, or their OR where its popcount
+    shows a repeated element.  A bad line is found by a second walk.
     """
     lines = list(_lines(text))
-    sets = []  # the elements of each line
-    for lineno, line in lines:
-        if line[0] != "{" or line[-1] != "}":
-            raise FormatError("expected a set like {1,2,3}, got %r" % line, lineno)
-        body = line[1:-1]
-        try:
-            sets.append(set(map(int, body.split(","))) if body.strip() else ())
-        except ValueError:  # _int names the token that int() rejects
-            sets.append({_int(t.strip(), lineno, "an edge id") for t in body.split(",")})
-    if not sets:
+    bodies = [line[1:-1].strip() for _, line in lines if line[0] == "{" and line[-1] == "}"]
+    rows = [body.split(",") if body else () for body in bodies]
+    try:
+        value = {t: int(t) for t in set(chain.from_iterable(rows))}
+    except ValueError:
+        value = None
+    if value is None or len(bodies) < len(lines):
+        _raise_family_error(lines)
+    if not lines:
         raise FormatError("FAMILY file contains no sets")
-    ground = set().union(*sets)
-    bit = element_bits(ground).__getitem__
-    masks = [sum(map(bit, s)) for s in sets]
+    ground = set(value.values())
+    bits = element_bits(ground)
+    bit = {t: bits[v] for t, v in value.items()}.__getitem__
+    masks = [sum(map(bit, row)) for row in rows]
+    if list(map(int.bit_count, masks)) != list(map(len, rows)):
+        masks = [reduce(or_, map(bit, row), 0) for row in rows]
     kept = dict.fromkeys(masks)
     if len(kept) < len(masks):
         warn = warn or (lambda msg: print(msg, file=sys.stderr))
@@ -158,6 +167,16 @@ def parse_family(text, warn=None):
     return SetFamily.from_masks(ground, kept)
 
 
+def _raise_family_error(lines):
+    """Raise the FormatError of the first line that is not a set of ints."""
+    for lineno, line in lines:
+        if line[0] != "{" or line[-1] != "}":
+            raise FormatError("expected a set like {1,2,3}, got %r" % line, lineno)
+        body = line[1:-1]
+        if body.strip():
+            for t in body.split(","):
+                _int(t.strip(), lineno, "an edge id")
+
+
 def emit_family(family):
-    text = family.joined("\n")
-    return text + "\n" if text else ""
+    return family.joined("\n", "\n")

@@ -13,8 +13,11 @@ scan reads F_K's connectivity off the map's graph G and dual G*: K + red
 and K + green are both connected iff the green-selected edges A connect G
 and E - A connects G*.
 `MAX_ENUM_EDGES` guards its size on every call, cached or not.  The scan's
-mask lists become families as they are: over the ground {1..m}, bit m - e is
-the bit `SetFamily` gives edge e, so no set is built per member.  The
+masks become family members as they are: over the ground {1..m}, bit m - e
+is the bit `SetFamily` gives edge e, so no set is built per member.  They
+come out distinct and ascending, so the family is built directly: reversed
+and stably sorted by popcount they are in canonical order, with no
+deduplication, range check or second sort.  The
 per-selection functions here (`subgraph_components`,
 `is_fully_black_hamiltonian`, `find_hamiltonian`) trace one selection at a
 time: they build its chosen-partner array and walk the cycles it makes
@@ -96,7 +99,9 @@ def _scan(cmap, max_edges):
 
 
 def _mask_family(cmap, masks, color=GREEN_PAIR):
-    fam = SetFamily.from_masks(range(1, cmap.n_edges + 1), masks)
+    # the scan's masks are distinct and ascending, so reversed and stably
+    # sorted by size they are in canonical order
+    fam = SetFamily(frozenset(range(1, cmap.n_edges + 1)), tuple(sorted(reversed(masks), key=int.bit_count)))
     if color == RED_PAIR:
         return fam.complement()
     if color != GREEN_PAIR:

@@ -2,12 +2,18 @@
 frozenset model.  The frozenset ordering (`canonical_key`) and the
 per-member emitter it replaced are kept as referees."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdelta import SetFamily
+from mapdelta.families import set_text
 from mapdelta.formats import emit_family
+from mapdelta.random_maps import random_map
+from mapdelta.selections import enumerate_feasible_k
 
 # odd ids next to enough plain ones for members of three bytes
 POOL = (-3, -1, 0, 2, 7, 10**12) + tuple(range(20, 32))
@@ -114,3 +120,55 @@ def test_member_set_built_on_first_query_and_kept():
     assert not SetFamily.of({1, 2, 3}, [{1}, set()]).is_subfamily_of(fam)
     assert {1} in fam and vars(fam)["_member_set"] is built
     assert fam == SetFamily.of({1, 2, 3}, [{2, 3}, {1}])
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 24, 32, 33, 64, 65, 70])
+def test_text_at_every_mask_width(m):
+    """The masks are packed 1, 2, 4 or 8 bytes wide up to m = 64 and turned
+    into bytes one by one beyond; each width prints what `set_text` prints."""
+    rng = random.Random(m)
+    ground = [10 * i - 5 for i in range(m)]  # negative and multi-digit ids
+    sets = [(), ground] + [rng.sample(ground, rng.randint(0, m)) for _ in range(60)]
+    fam = SetFamily.of(ground, sets)
+    texts = [set_text(s) for s in fam.members]
+    assert fam.members == tuple(model(sets))
+    assert fam.joined("; ") == "; ".join(texts)
+    assert fam.joined("\n", "\n") == emit_family(fam) == "".join(t + "\n" for t in texts)
+    assert str(fam) == "{%s}" % ", ".join(texts)
+    empty = SetFamily.of(ground, [])
+    assert empty.joined(", ") == emit_family(empty) == "" and str(empty) == "{}"
+
+
+@pytest.fixture(scope="module")
+def k_scan():
+    """random_map(0, max_edges=16): m = 15, |F_K| = 24,448, survey made."""
+    cmap = random_map(0, max_edges=16)
+    assert cmap.n_edges == 15 and len(cmap.selection_survey[1]) == 24_448
+    return cmap
+
+
+def _allocated(call):
+    """(result, peak bytes allocated while call() ran), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_family_built_in_at_most_40_bytes_per_member(k_scan):
+    """The scan's ascending masks are reversed and sorted by size into the
+    family's tuple, with no set or second sort: about 24 bytes per member."""
+    family, peak = _allocated(lambda: enumerate_feasible_k(k_scan))
+    assert len(family) == 24_448
+    assert peak <= 40 * len(family), peak / len(family)
+
+
+def test_family_text_printed_in_at_most_2_5_times_its_size(k_scan):
+    """One array of masks, one join and one replace: about 2.2 times the text."""
+    family = enumerate_feasible_k(k_scan)
+    text, peak = _allocated(lambda: emit_family(family))
+    assert len(text) == 511_584
+    assert peak <= 2.5 * len(text), peak / len(text)

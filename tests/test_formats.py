@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapdelta.errors import FormatError, MapValidationError
-from mapdelta.families import set_text
+from mapdelta.families import SetFamily, set_text
 from mapdelta.formats import (
     emit_family,
     emit_graph,
@@ -144,3 +144,65 @@ def test_parsers_raise_only_documented_errors(text):
             parse(text)
         except (FormatError, MapValidationError):
             pass
+
+
+# --- FAMILY reading against the line-by-line reader it replaced
+
+
+def referee_parse_family(text, warn):
+    """One line at a time: braces, then int() of every token, a set per line."""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((i, line))
+    sets = []
+    for lineno, line in lines:
+        if line[0] != "{" or line[-1] != "}":
+            raise FormatError("expected a set like {1,2,3}, got %r" % line, lineno)
+        body = line[1:-1]
+        elements = set()
+        if body.strip():
+            for t in body.split(","):
+                try:
+                    elements.add(int(t.strip()))
+                except ValueError:
+                    raise FormatError("expected an edge id, got %r" % t.strip(), lineno) from None
+        sets.append(frozenset(elements))
+    if not sets:
+        raise FormatError("FAMILY file contains no sets")
+    seen = set()
+    for (lineno, line), s in zip(lines, sets):
+        if s in seen:
+            warn("line %d: duplicate set %s ignored" % (lineno, line))
+        seen.add(s)
+    return SetFamily.of(frozenset().union(*sets), sets)
+
+
+def _outcome(parse, text):
+    warnings = []
+    try:
+        family = parse(text, warnings.append)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc), warnings
+    return family, family.members, warnings
+
+
+_SET_TOKENS = st.sampled_from(["1", "10", " 2 ", "+1", "1_0", "٣", "-3", "", "x"])
+_SET_LINE = st.tuples(
+    st.sampled_from(["{", "{", "{", "", " { ", "}"]),
+    st.lists(_SET_TOKENS, max_size=5).map(",".join),
+    st.sampled_from(["}", "}", "}", "", " } ", "{"]),
+    st.sampled_from(["", "", "#", " # {1}", "#}"]),
+).map("".join)
+_FAMILY_LIKE = st.lists(
+    st.tuples(st.one_of(_SET_LINE, st.just("")), st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"])),
+    max_size=8,
+).flatmap(lambda lines: st.permutations(lines + lines[:2])).map(lambda lines: "".join(map("".join, lines)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_FAMILY_LIKE | _TEXT)
+def test_parse_family_agrees_with_the_line_reader(text):
+    """The same family and warnings, or the same error and message."""
+    assert _outcome(parse_family, text) == _outcome(referee_parse_family, text)

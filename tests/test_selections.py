@@ -12,6 +12,7 @@ from mapdelta import (
 )
 from mapdelta.families import SetFamily
 from mapdelta.fixtures import all_fixtures, get_fixture
+from mapdelta.random_maps import random_corpus
 from mapdelta.selections import all_green
 
 
@@ -139,3 +140,17 @@ class TestSwapDynamics:
                     after = len(subgraph_components(m, s.swap(eid)))
                     assert abs(after - before) <= 1
 
+
+def test_scan_families_equal_the_sorted_survey():
+    """On the 667 maps, F_gamma and F_K in both colours, built straight from
+    the scan's ascending masks, equal `SetFamily.from_masks` of the survey,
+    which deduplicates, sorts and checks the range again."""
+    maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10) + random_corpus(77, 400, 12)
+    assert len(maps) == 667
+    for cmap in maps:
+        ground = range(1, cmap.n_edges + 1)
+        full = (1 << cmap.n_edges) - 1
+        for enum, masks in zip((enumerate_feasible_gamma, enumerate_feasible_k), cmap.selection_survey):
+            # equal fields: the same ground and the same masks in the same order
+            assert enum(cmap) == SetFamily.from_masks(ground, masks)
+            assert enum(cmap, color="red") == SetFamily.from_masks(ground, [full ^ p for p in masks])
