@@ -38,7 +38,6 @@ from .selections import (
     enumerate_feasible_k,
     find_hamiltonian,
     is_fully_black_hamiltonian,
-    selection_subgraph,
     subgraph_components,
 )
 

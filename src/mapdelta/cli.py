@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success / all properties pass, 1 parse or validation error or
-bad option value, 2 property violation (counterexample printed), 3
-enumeration size guard.
+Exit codes: 0 success / all properties pass, 1 parse or validation error,
+bad option value or usage error, 2 property violation (counterexample
+printed), 3 enumeration size guard.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
 from .fixtures import FIXTURE_BUILDERS, fixture_names, get_fixture
 from .random_maps import DEFAULT_MAX_EDGES, random_corpus
 from .rebuild import build_map, recover_rotations
-from .report import certified_verdict, exchange_verdict, verify_map
+from .report import verify_map
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,7 +72,7 @@ def cmd_feasible(args):
 def cmd_matroids(args):
     cmap = _load_map(args.map)
     family = selections.enumerate_feasible_gamma(cmap, max_edges=args.max_edges)
-    ok, detail = certified_verdict(family)
+    ok, detail = matroids.certified_verdict(family)
     if not ok:
         print("symmetric exchange fails: %s" % detail)
         return EXIT_VIOLATION
@@ -88,10 +88,12 @@ def cmd_check_delta(args):
         with open(args.input) as fh:
             text = fh.read()
     if text is None or formats.opens_map(text):
-        family = selections.enumerate_feasible_gamma(_load_map(args.input), max_edges=args.max_edges)
+        cmap = _load_map(args.input) if text is None else formats.parse_map(text)
+        family = selections.enumerate_feasible_gamma(cmap, max_edges=args.max_edges)
+        ok, detail = matroids.certified_verdict(family)
     else:
         family = formats.parse_family(text)
-    ok, detail = exchange_verdict(family)
+        ok, detail = matroids.exchange_verdict(family)
     if not ok:
         print("symmetric exchange fails: %s" % detail)
         return EXIT_VIOLATION
@@ -157,8 +159,15 @@ def _add_max_edges(p):
                    help="refuse enumeration beyond this many edges")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line: exit 2 means a property violation."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, "error: %s\n" % message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mapdelta",
         description="Combinatorial maps, their delta-matroids, and reconstruction checks.",
     )

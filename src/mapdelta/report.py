@@ -8,34 +8,6 @@ from . import matroids, selections
 from .families import set_text
 
 
-def _fmt_witness(witness):
-    if witness is None:
-        return ""
-    f1, f2, x = witness
-    return "F1=%s F2=%s x=%s" % (set_text(f1), set_text(f2), x)
-
-
-def exchange_verdict(family):
-    """(passed, detail) of the symmetric-exchange check; an empty family fails it."""
-    if not family:
-        return False, "no feasible sets"
-    ok, witness = matroids.check_symmetric_exchange(family)
-    return ok, _fmt_witness(witness)
-
-
-def _basis_verdict(bases):
-    ok, witness = matroids.check_basis_exchange(bases)
-    return ok, _fmt_witness(witness)
-
-
-def certified_verdict(family, verdict=exchange_verdict):
-    """A PASS if the family's GF(2) matrix certifies exchange, else
-    verdict(family) with its first witness.  For families read off a map,
-    which are binary as a rule; families given as text mostly fail exchange,
-    and there the certificate would only add cost."""
-    return (True, "") if matroids.binary_certificate(family) else verdict(family)
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -102,9 +74,9 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         selections.is_fully_black_hamiltonian(cmap, sel) and swaps <= max(initial - 1, 0),
         "%d swaps from %d components" % (swaps, initial))
 
-    gamma_exchange = certified_verdict(f_gamma)
+    gamma_exchange = matroids.certified_verdict(f_gamma)
     add("gamma-symmetric-exchange", *gamma_exchange)
-    add("k-symmetric-exchange", *(gamma_exchange if f_k == f_gamma else certified_verdict(f_k)))
+    add("k-symmetric-exchange", *(gamma_exchange if f_k == f_gamma else matroids.certified_verdict(f_k)))
     add("gamma-subfamily-of-k", f_gamma.is_subfamily_of(f_k))
 
     lower_rank = upper_rank = 0
@@ -121,8 +93,8 @@ def verify_map(cmap, max_edges=selections.MAX_ENUM_EDGES):
         add("upper-is-cocycle-matroid", ok, "" if ok else "upper=%s cotrees=%s" % (upper.bases, cotrees))
         # the layers are equicardinal by construction, so a certified layer
         # is a delta-matroid of one cardinality: the bases of a matroid
-        add("lower-basis-exchange", *certified_verdict(lower.bases, _basis_verdict))
-        add("upper-basis-exchange", *certified_verdict(upper.bases, _basis_verdict))
+        add("lower-basis-exchange", *matroids.certified_verdict(lower.bases, matroids.basis_verdict))
+        add("upper-basis-exchange", *matroids.certified_verdict(upper.bases, matroids.basis_verdict))
 
         lower_k, upper_k = matroids.extremal_matroids(f_k)
         add("k-matroids-match-gamma", lower_k.bases == lower.bases and upper_k.bases == upper.bases)

@@ -73,14 +73,6 @@ def _chosen_partners(cmap, sel):
     return [cmap.rho_g[x] if e in sel.greens else cmap.rho_r[x] for x, e in enumerate(cmap.edge_of_flag)]
 
 
-def selection_subgraph(cmap, sel):
-    """Edge list (pairs of flags) of the induced 2-regular subgraph."""
-    edges = [(x, y) for x, y in enumerate(cmap.rho_b) if x < y]
-    edges += [(x, y) for x, y in enumerate(_chosen_partners(cmap, sel)) if x < y]
-    edges.sort()
-    return edges
-
-
 def subgraph_components(cmap, sel):
     """Flag cycles of the selection subgraph, smallest-root order."""
     return _orbits_of_two_matchings(cmap.n_flags, _chosen_partners(cmap, sel), cmap.rho_b)

@@ -9,7 +9,16 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from mapdelta import SetFamily, check_basis_exchange, check_symmetric_exchange
+from mapdelta import (
+    MapDeltaError,
+    SetFamily,
+    check_basis_exchange,
+    check_symmetric_exchange,
+    lower_matroid,
+    matroids,
+    rank_gap_check,
+    upper_matroid,
+)
 from mapdelta.fixtures import all_fixtures
 from mapdelta.matroids import binary_certificate, extremal_matroids
 from mapdelta.random_maps import random_corpus
@@ -132,3 +141,25 @@ def test_map_families_certified():
                 counts[i] += 1
                 assert check(family)[0], (cmap.name, i)
     assert counts == [267, 178, 267, 267]
+
+
+def test_certificate_changes_no_reader_result(monkeypatch):
+    """The 267 maps: `lower_matroid`, `upper_matroid` and `rank_gap_check`
+    give the same results on F_gamma and F_K, or raise the same error,
+    whether the certificate or the exhaustive checker decides exchange."""
+    maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
+
+    def results():
+        out = []
+        for cmap in maps:
+            for family in feasible_families(cmap):
+                for read in (lower_matroid, upper_matroid, lambda f: rank_gap_check(cmap, f)):
+                    try:
+                        out.append(read(family))
+                    except MapDeltaError as exc:  # compared: both runs must raise it
+                        out.append((type(exc), str(exc)))
+        return out
+
+    certified = results()
+    monkeypatch.setattr(matroids, "binary_certificate", lambda family: False)
+    assert results() == certified

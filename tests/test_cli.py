@@ -1,3 +1,4 @@
+import builtins
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import mapdelta
-from mapdelta import kernel, matroids, selections
+from mapdelta import NotDeltaMatroid, SetFamily, kernel, matroids, selections, upper_matroid
 from mapdelta.cli import main
 from mapdelta.families import set_text
 from mapdelta.formats import emit_graph, emit_map
@@ -117,6 +118,10 @@ class TestCheckDelta:
         code, out, _ = run(capsys, "check-delta", str(path))
         assert code == 2
         assert "F1={1,2} F2={3,4} x=1" in out
+        # the checked matroid readers raise with the line check-delta prints
+        with pytest.raises(NotDeltaMatroid) as exc:
+            upper_matroid(SetFamily.of(range(1, 5), [{1, 2}, {3, 4}]))
+        assert str(exc.value) + "\n" == out
 
     def test_family_pass_exit_0(self, capsys, tmp_path):
         path = tmp_path / "ok.family"
@@ -141,6 +146,40 @@ class TestCheckDelta:
         code, out, err = run(capsys, "check-delta", "--max-edges", "-3", "k5torus")
         assert (code, out, err) == (1, "", "error: --max-edges must be at least 0\n")
 
+    @staticmethod
+    def count_checks(monkeypatch):
+        certs, checks = [], []
+        certify, check = matroids.binary_certificate, matroids.check_symmetric_exchange
+        monkeypatch.setattr(matroids, "binary_certificate", lambda f: certs.append(f) or certify(f))
+        monkeypatch.setattr(matroids, "check_symmetric_exchange", lambda f: checks.append(f) or check(f))
+        return certs, checks
+
+    @pytest.mark.parametrize("source", ["file", "fixture"])
+    def test_map_family_asks_the_certificate(self, capsys, monkeypatch, tmp_path, source):
+        """A map's F_gamma is binary: one certificate call proves it, and the
+        exhaustive checker does not run."""
+        path = tmp_path / "k4sphere.map"
+        path.write_text(emit_map(get_fixture("k4sphere")))
+        certs, checks = self.count_checks(monkeypatch)
+        code, out, err = run(capsys, "check-delta", str(path) if source == "file" else "k4sphere")
+        assert (code, out, err) == (0, "symmetric exchange holds (16 sets)\n", "")
+        assert len(certs) == 1 and checks == []
+
+    def test_family_text_goes_to_the_exhaustive_checker(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "ok.family"
+        path.write_text("{}\n{1,2}\n")
+        certs, checks = self.count_checks(monkeypatch)
+        assert run(capsys, "check-delta", str(path)) == (0, "symmetric exchange holds (2 sets)\n", "")
+        assert certs == [] and len(checks) == 1
+
+    def test_map_file_is_opened_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "k4sphere.map"
+        path.write_text(emit_map(get_fixture("k4sphere")))
+        opened, real_open = [], builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, *args: opened.append(file) or real_open(file, *args))
+        assert run(capsys, "check-delta", str(path))[0] == 0
+        assert opened == [str(path)]
+
 
 class TestMapFamilyFailingExchange:
     """With the kernel patched, as in tests/test_report.py, F_gamma of
@@ -162,6 +201,10 @@ class TestMapFamilyFailingExchange:
         code, out, err = run(capsys, command, "k5torus")
         assert (code, err) == (2, "")
         assert out == "symmetric exchange fails: F1=%s F2=%s x=%s\n" % (set_text(f1), set_text(f2), x)
+
+        with pytest.raises(NotDeltaMatroid) as exc:
+            upper_matroid(selections.enumerate_feasible_gamma(get_fixture("k5torus")))
+        assert str(exc.value) + "\n" == out
 
     @pytest.mark.parametrize("command", ["matroids", "check-delta"])
     def test_empty_family_exit_2(self, capsys, monkeypatch, command):
@@ -271,6 +314,19 @@ class TestVerifyAll:
 
 
 class TestBadInputNoTraceback:
+    @pytest.mark.parametrize("argv", [["feasible", "--max-edges", "abc", "loop"], ["nosuch"], []])
+    def test_usage_error_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: mapdelta")
+
     def test_directory_argument_exit_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "validate", str(tmp_path))
         assert code == 1 and out == ""

@@ -93,6 +93,12 @@ class TestUpperLower:
         with pytest.raises(NotDeltaMatroid):
             upper_matroid(fam([{1, 2}, {3, 4}]))
 
+    def test_empty_family_rejected(self):
+        empty = fam([], ground={1, 2})
+        for read in (upper_matroid, lower_matroid, lambda f: rank_gap_check(get_fixture("torus1v"), f)):
+            with pytest.raises(EmptyFamily):
+                read(empty)
+
     def test_extraction_always_passes_basis_exchange(self):
         for sets in (TWELVE_TRIPLES + TWO_FIVE_SETS, [set(), {1, 2}], TWELVE_TRIPLES):
             f = fam(sets, ground={1, 2, 3, 4, 5, 6})

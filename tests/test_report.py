@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mapdelta import NotDeltaMatroid, Selection, SetFamily, cli, kernel, matroids, report, selections
+from mapdelta import NotDeltaMatroid, Selection, SetFamily, cli, kernel, matroids, selections
 from mapdelta.fixtures import all_fixtures, get_fixture
 from mapdelta.random_maps import random_corpus
 from mapdelta.report import verify_map
@@ -101,10 +101,13 @@ def test_empty_family_is_reported_not_raised(monkeypatch, capsys, drop_links):
 
 
 def test_rank_gap_check_checks_exchange_once(monkeypatch):
+    """The family is binary: the certificate proves it, and the exhaustive
+    checker does not run."""
+    certs = counting(monkeypatch, matroids, "binary_certificate")
     checks = counting(monkeypatch, matroids, "check_symmetric_exchange")
     family = SetFamily.of({1, 2}, [set(), {1, 2}])
     assert matroids.rank_gap_check(get_fixture("torus1v"), family)
-    assert len(checks) == 1
+    assert certs == [(family,)] and checks == []
     with pytest.raises(NotDeltaMatroid):
         matroids.rank_gap_check(get_fixture("torus1v"), SetFamily.of({1, 2, 3, 4}, [{1, 2}, {3, 4}]))
 
@@ -139,7 +142,7 @@ def test_exchange_failure_is_reported_with_witness(monkeypatch, capsys):
     assert rep.gamma_size == len(kept)
     (check,) = [c for c in rep.checks if c.name == "gamma-symmetric-exchange"]
     assert not check.passed
-    assert check.detail == report._fmt_witness(witness)
+    assert check.detail == matroids._fmt_witness(witness)
     assert "FAIL gamma-symmetric-exchange  [%s]\n" % check.detail in out
     assert "PASS k-symmetric-exchange\n" in out
 

@@ -7,7 +7,6 @@ from mapdelta import (
     enumerate_feasible_k,
     find_hamiltonian,
     is_fully_black_hamiltonian,
-    selection_subgraph,
     subgraph_components,
 )
 from mapdelta.families import SetFamily
@@ -34,21 +33,25 @@ class TestSelectionSubgraph:
         assert len(subgraph_components(m, sel(m, [1]))) == 2
 
     def test_all_green_gives_green_black_subgraph(self):
+        """All green keeps the green and black edges: its cycles are the
+        green/black orbits, the faces."""
         for m in all_fixtures():
-            edges = set(selection_subgraph(m, all_green(m)))
-            expected = {tuple(sorted((x, m.rho_b[x]))) for x in range(m.n_flags)}
-            expected |= {tuple(sorted((x, m.rho_g[x]))) for x in range(m.n_flags)}
-            assert edges == expected
+            assert subgraph_components(m, all_green(m)) == m.orbit_cycles("GB")
 
     def test_every_flag_degree_two(self):
+        """Every selection's cycles partition the flags, and each cycle
+        steps from a flag to its chosen partner, then along black, and so on
+        round to its first flag."""
         m = get_fixture("k4sphere")
         for mask in range(1 << m.n_edges):
             s = Selection.from_mask(range(1, m.n_edges + 1), mask)
-            degree = [0] * m.n_flags
-            for x, y in selection_subgraph(m, s):
-                degree[x] += 1
-                degree[y] += 1
-            assert set(degree) == {2}
+            chosen = [(m.rho_g if e in s.greens else m.rho_r)[x] for x, e in enumerate(m.edge_of_flag)]
+            cycles = subgraph_components(m, s)
+            assert sorted(x for c in cycles for x in c) == list(range(m.n_flags))
+            for c in cycles:
+                assert len(c) % 2 == 0
+                for i, x in enumerate(c):
+                    assert c[(i + 1) % len(c)] == (m.rho_b if i % 2 else chosen)[x]
 
 
 class TestHamiltonicity:
