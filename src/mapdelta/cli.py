@@ -249,7 +249,3 @@ def main(argv=None):
     except ReconstructionError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_VIOLATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -244,15 +244,6 @@ class CombinatorialMap:
         """True iff the flag graph is bipartite (2-colorable)."""
         return self._flag_walk[1]
 
-    def flag_edges(self):
-        """All edges of the flag graph as (x, y, color) with x < y."""
-        out = []
-        for color, rho in ((RED, self.rho_r), (GREEN, self.rho_g), (BLACK, self.rho_b)):
-            for x, y in enumerate(rho):
-                if x < y:
-                    out.append((x, y, color))
-        return out
-
 
 def validate_map(name, rho_r, rho_g, rho_b):
     """Check the three map axioms and return a CombinatorialMap.

@@ -1,6 +1,15 @@
-"""Grid maps for the tests."""
+"""Grid maps, and the flag graph's edges, for the tests."""
 
-from mapdelta.maps import LabeledGraph, from_rotation_system
+from mapdelta.maps import BLACK, GREEN, RED, LabeledGraph, from_rotation_system
+
+
+def flag_edges(cmap):
+    """The edges of a map's flag graph as (x, y, color) with x < y, red,
+    then green, then black."""
+    for color, rho in ((RED, cmap.rho_r), (GREEN, cmap.rho_g), (BLACK, cmap.rho_b)):
+        for x, y in enumerate(rho):
+            if x < y:
+                yield x, y, color
 
 
 def plane_grid(rows, cols, torus=False, klein=False):

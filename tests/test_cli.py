@@ -21,6 +21,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's src on PYTHONPATH, for a child
+    interpreter."""
+    src = os.path.dirname(os.path.dirname(mapdelta.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestBasicCommands:
     def test_examples_list(self, capsys):
         code, out, _ = run(capsys, "examples", "list")
@@ -28,6 +36,12 @@ class TestBasicCommands:
         names = out.split()
         for expected in ("loop", "bridge", "crosscap", "theta", "torus1v", "k4sphere", "k5torus"):
             assert expected in names
+
+    def test_python_m_mapdelta_runs_the_cli(self, capsys):
+        _, out, _ = run(capsys, "examples", "list")
+        proc = subprocess.run([sys.executable, "-m", "mapdelta", "examples", "list"],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, out)
 
     def test_examples_list_takes_no_name(self, capsys):
         code, out, err = run(capsys, "examples", "list", "k5torus")
@@ -346,11 +360,9 @@ class TestBadInputNoTraceback:
         assert err.count("\n") == 1
 
     def test_closed_pipe_exits_quietly(self):
-        src = os.path.dirname(os.path.dirname(mapdelta.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "mapdelta.cli", "verify-all", "torus1v"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+            [sys.executable, "-m", "mapdelta", "verify-all", "torus1v"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         )
         proc.stdout.close()  # the reader is gone before the first write
         err = proc.stderr.read()

@@ -3,13 +3,15 @@ here as referees: the same verdict and the same first witness on every
 family.  The frozenset checkers are the first referees; the per-member
 bitmask search, which found each member's exchange partners with m(m+1)/2
 set lookups before the shadow index, is the second, for families too large
-for the first."""
+for the first; the shadow-index walk over every (member, element) pair,
+which tested each probe once per member next to it before the pass test,
+is the third, for the 267 maps and the non-binary grid families."""
 
 from hypothesis import given, settings, strategies as st
 
 from mapdelta import SetFamily, check_basis_exchange, check_symmetric_exchange
 from mapdelta.fixtures import all_fixtures
-from mapdelta.matroids import _first_violation
+from mapdelta.matroids import _first_violation, binary_certificate
 from mapdelta.random_maps import random_corpus
 from mapdelta.selections import feasible_families
 
@@ -92,6 +94,53 @@ def referee_first_violation(family, x_in_f1):
     return None
 
 
+def referee_shadow_walk(family, x_in_f1):
+    """The first (F1, F2, x) in canonical order with no y in F1 ^ F2 such
+    that F1 ^ {x, y} is a member, x ranging over F1 ^ F2 (over F1 - F2 when
+    x_in_f1), or None.
+
+    Bits stand for ground elements in `bit_order`, the lowest element in
+    the highest bit.  The shadow index maps q to the y with q ^ {y} a
+    member, so shadow[F1 ^ {x}] holds the y with F1 ^ {x, y} a member (bit
+    x is F1 itself).  (F2, x) violates when F2 differs from F1 at x and
+    agrees with it on the rest of that shadow; bit j of cols[y] (ncols[y])
+    says member j holds (lacks) y, so these F2 are an AND of columns.  The
+    lowest over all x, then the lowest element x for it (x walks down from
+    the highest bit), is the first violation: O(N*m) dict work plus the AND
+    chain.
+    """
+    masks = family.masks
+    m = len(family.ground)
+    rows = [format(p | 1 << m, "b")[1:] for p in reversed(masks)]
+    cols = [int("".join(col), 2) for col in zip(*rows)][::-1]
+    ncols = [col ^ (1 << len(masks)) - 1 for col in cols]
+    shadow = {}
+    for y in range(m):
+        e = 1 << y
+        for b in masks:
+            q = b ^ e
+            shadow[q] = shadow.get(q, 0) | e
+    for a in masks:
+        skip = shadow.get(a, 0) | (~a if x_in_f1 else 0)
+        first, at = 0, None
+        for x in reversed(range(m)):
+            e = 1 << x
+            if skip & e:
+                continue  # F1 ^ {x} is a member, or x is outside the range
+            hits = (ncols if a & e else cols)[x]
+            rest = shadow[a ^ e] ^ e
+            while rest and hits:
+                low = rest & -rest
+                hits &= (cols if a & low else ncols)[low.bit_length() - 1]
+                rest ^= low
+            low = hits & -hits
+            if low and (at is None or low < first):
+                first, at = low, x
+        if at is not None:
+            return family.set_of(a), family.set_of(masks[first.bit_length() - 1]), family.by_bit[at]
+    return None
+
+
 def assert_agree(family):
     assert check_symmetric_exchange(family) == referee_symmetric_exchange(family), family
     assert check_basis_exchange(family) == referee_basis_exchange(family), family
@@ -132,14 +181,17 @@ def test_map_families_agree():
 
 def dropped_and_toggled(family):
     """The family as it is, with its middle member dropped, and with the
-    lowest element that makes a new set toggled in its middle member."""
+    lowest element that makes a new set toggled in its middle member (left
+    out where every element makes a member)."""
     masks = list(family.masks)
     mid = len(masks) // 2
     m = len(family.ground)
-    toggled = next(masks[mid] ^ 1 << (m - 1 - i) for i in range(m)
-                   if masks[mid] ^ 1 << (m - 1 - i) not in masks)
-    return [family, SetFamily.from_masks(family.ground, masks[:mid] + masks[mid + 1:]),
-            SetFamily.from_masks(family.ground, masks[:mid] + [toggled] + masks[mid + 1:])]
+    toggled = next((masks[mid] ^ 1 << (m - 1 - i) for i in range(m)
+                    if masks[mid] ^ 1 << (m - 1 - i) not in masks), None)
+    out = [family, SetFamily.from_masks(family.ground, masks[:mid] + masks[mid + 1:])]
+    if toggled is not None:
+        out.append(SetFamily.from_masks(family.ground, masks[:mid] + [toggled] + masks[mid + 1:]))
+    return out
 
 
 def test_plane_grid_families_agree():
@@ -160,3 +212,29 @@ def test_large_family_agrees_with_per_member_search():
     for f in dropped_and_toggled(f_gamma):
         for x_in_f1 in (False, True):
             assert _first_violation(f, x_in_f1) == referee_first_violation(f, x_in_f1)
+
+
+def test_map_families_agree_with_shadow_walk():
+    """F_gamma and F_K of the 267 maps and their extremal layers, each as it
+    is, dropped and toggled, in both modes, against the shadow-index walk."""
+    maps = all_fixtures() + random_corpus(1105, 200, 7) + random_corpus(2021, 60, 10)
+    for cmap in maps:
+        for family in feasible_families(cmap):
+            sizes = family.cardinalities()
+            layers = [family.restrict_to_cardinality(k) for k in (sizes[0], sizes[-1])]
+            for layer in dict.fromkeys([family] + layers):
+                for f in dropped_and_toggled(layer):
+                    for x_in_f1 in (False, True):
+                        assert _first_violation(f, x_in_f1) == referee_shadow_walk(f, x_in_f1), f
+
+
+def test_non_binary_grid_families_agree_with_shadow_walk():
+    """F_K of the 3x3 torus and Klein grids (m = 18, N = 44,064 and 44,980):
+    no GF(2) matrix certifies them, and they pass, so every probe is tested."""
+    for grid in (plane_grid(3, 3, torus=True), plane_grid(3, 3, klein=True)):
+        f_k = feasible_families(grid)[1]
+        assert not binary_certificate(f_k)
+        for x_in_f1 in (False, True):
+            witness = _first_violation(f_k, x_in_f1)
+            assert witness == referee_shadow_walk(f_k, x_in_f1)
+            assert x_in_f1 or witness is None

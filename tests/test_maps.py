@@ -14,7 +14,7 @@ from mapdelta.maps import LabeledGraph, from_rotation_system, involution_from_pa
 from mapdelta.random_maps import random_corpus
 from mapdelta.selections import feasible_families
 
-from gridmaps import plane_grid
+from gridmaps import flag_edges, plane_grid
 
 
 def pairing(n, pairs):
@@ -211,7 +211,7 @@ class TestInvariants:
         for m in all_fixtures():
             if m.n_flags > 12:
                 continue
-            edges = [(x, y) for x, y, _ in m.flag_edges()]
+            edges = [(x, y) for x, y, _ in flag_edges(m)]
             colorable = any(
                 all((mask >> x) & 1 != (mask >> y) & 1 for x, y in edges)
                 for mask in range(1 << m.n_flags)
@@ -221,7 +221,7 @@ class TestInvariants:
     def test_flag_graph_three_regular(self):
         for m in all_fixtures():
             degree = [0] * m.n_flags
-            for x, y, _ in m.flag_edges():
+            for x, y, _ in flag_edges(m):
                 degree[x] += 1
                 degree[y] += 1
             assert set(degree) == {3}

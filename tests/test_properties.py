@@ -16,6 +16,8 @@ from mapdelta.fixtures import all_fixtures
 from mapdelta.random_maps import random_map
 from mapdelta.selections import Selection
 
+from gridmaps import flag_edges
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -95,7 +97,7 @@ def _reachable_without(cmap, x, y):
 
 
 def _assert_no_flag_bridge(cmap):
-    for x, y, color in cmap.flag_edges():
+    for x, y, color in flag_edges(cmap):
         assert _reachable_without(cmap, x, y), "%s: %s edge %d-%d is a bridge" % (cmap.name, color, x, y)
 
 
